@@ -3,6 +3,7 @@
 
 Usage: python scripts/run_suite.py [--threads N] [--exact-probabilities]
 Outputs land in the per-config ``out`` directories (under ./runs by default).
+Without ``--threads`` each config's own ``threads`` key applies.
 """
 import argparse
 import sys
@@ -14,7 +15,7 @@ from sshquench.experiment import compare_report, run_experiment
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--exact-probabilities", action="store_true")
     parser.add_argument(
         "--only", help="substring filter on config file names", default=""

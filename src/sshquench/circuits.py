@@ -3,9 +3,9 @@
 Initial-state preparation and the exact flat-band time evolution. With
 couplings (J, J') = (0, 1) the propagator factorizes into commuting two-qubit
 blocks exp(-i t (XX + YY)) on the intercell links, so evolution circuits for
-arbitrary t carry no Trotter error. Each block is realized as the XX and YY
-Ising evolutions, both obtained by basis-wrapping the ZZ evolution
-CX . Rz(2t) . CX.
+arbitrary t carry no Trotter error. Gate-level circuits build each block from
+the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
+fused circuits apply it as one dense 4x4 gate.
 
 Layer counting models nearest-neighbor hardware congestion: a two-qubit gate
 occupies every site in the closed interval between its endpoints, so the
@@ -198,7 +198,8 @@ def evolution_circuit(
 
     ``fused`` replaces each link's gate sequence by the single dense block
     exp(-i t (XX + YY)); both modes implement the same unitary and are
-    cross-checked in the test suite.
+    cross-checked in the test suite. Runs simulate with the fused blocks;
+    the gate-level sequence serves ``layer_count`` and ``circuit_to_text``.
     """
     gates: list[Gate] = []
     for a, b in evolution_links(num_sites, boundary):

@@ -173,14 +173,17 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
 
     subset = resolve_subsystem(opts.subsystem, spec.num_sites)
 
+    # fused link blocks for the states; the gate-level circuit, whose depth
+    # does not depend on t, is built once for the layer counts
     prep = _initial_circuit(spec)
     initial_state = prep.run()
-    circuits = [
-        prep.then(evolution_circuit(t, spec.num_sites, spec.boundary))
+    states = [
+        prep.then(evolution_circuit(t, spec.num_sites, spec.boundary, fused=True)).run()
         for t in spec.times
     ]
-    states = [c.run() for c in circuits]
-    layers_total = layer_count(circuits[0])
+    layers_total = layer_count(
+        prep.then(evolution_circuit(spec.times[0], spec.num_sites, spec.boundary))
+    )
     layers_prep = layer_count(prep)
     p_tot_true = effective_p_tot(spec.noise.p_layer, layers_total)
 
@@ -221,6 +224,17 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     return out_dir
 
 
+def _measure(state, spec, p_tot_true, rng, unitaries=()) -> dict[int, int]:
+    """The one measurement chain: rotate, depolarize, sample, flip, count."""
+    dist = probabilities(rotate_state(state, unitaries) if unitaries else state)
+    if p_tot_true > 0.0:
+        dist = apply_depolarizing(dist, p_tot_true)
+    outcomes = sample_outcomes(dist, spec.num_shots, rng)
+    if spec.noise.readout_flip > 0.0:
+        outcomes = flip_outcomes(outcomes, spec.num_sites, spec.noise.readout_flip, rng)
+    return counts_from_outcomes(outcomes)
+
+
 def _entropy_series(
     spec, opts, states, subset, p_tot_true, shot_files, quiet
 ) -> list[TimeSeriesPoint]:
@@ -253,17 +267,8 @@ def _entropy_series(
 
     def one_round(t_idx: int, u: int):
         rng = child_generator(spec.seed, ENTROPY_STREAM, t_idx, u)
-        state = states[t_idx]
         unitaries = tuple(sample_haar_unitary(rng) for _ in range(spec.num_sites))
-        dist = probabilities(rotate_state(state, unitaries))
-        if p_tot_true > 0.0:
-            dist = apply_depolarizing(dist, p_tot_true)
-        outcomes = sample_outcomes(dist, spec.num_shots, rng)
-        if spec.noise.readout_flip > 0.0:
-            outcomes = flip_outcomes(
-                outcomes, spec.num_sites, spec.noise.readout_flip, rng
-            )
-        counts = counts_from_outcomes(outcomes)
+        counts = _measure(states[t_idx], spec, p_tot_true, rng, unitaries)
         table = ShotTable(u, spec.num_sites, spec.num_shots, counts, unitaries)
         sub_vec = marginal_counts(table, subset)
         x_unbiased = purity_statistic(sub_vec, spec.num_shots, "unbiased")
@@ -352,7 +357,7 @@ def _entropy_series(
         aligned, _offset = shift_align(base, opts.shift_mode)
         for r, v in zip(rows, aligned):
             r.mitigated = float(v)
-            r.flags = tuple(f for f in r.flags if f != "no_mitigation") + ("shifted",)
+            r.flags += ("shifted",)
     return rows
 
 
@@ -374,16 +379,9 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
             )
             continue
 
-        rng = child_generator(spec.seed, TWIST_STREAM, t_idx)
-        dist = probabilities(state)
-        if p_tot_true > 0.0:
-            dist = apply_depolarizing(dist, p_tot_true)
-        outcomes = sample_outcomes(dist, spec.num_shots, rng)
-        if spec.noise.readout_flip > 0.0:
-            outcomes = flip_outcomes(
-                outcomes, spec.num_sites, spec.noise.readout_flip, rng
-            )
-        counts = counts_from_outcomes(outcomes)
+        counts = _measure(
+            state, spec, p_tot_true, child_generator(spec.seed, TWIST_STREAM, t_idx)
+        )
         kept = postselect_half_filling(counts, spec.num_sites)
 
         flags: list[str] = list(exact_flags)

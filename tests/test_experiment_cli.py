@@ -2,9 +2,16 @@
 import numpy as np
 import pytest
 
+from sshquench.circuits import (
+    evolution_circuit,
+    layer_count,
+    prepare_neel,
+    prepare_singlet_product,
+)
 from sshquench.cli import main
 from sshquench.config import parse_config
 from sshquench.experiment import compare_report, read_shot_tables
+from sshquench.noise import effective_p_tot
 from sshquench.randmeas import estimate_purity
 
 SMALL = """\
@@ -148,13 +155,53 @@ class TestRunOutputs:
         )
 
     def test_shift_alignment_applied(self, tmp_path):
-        conf = _write_config(tmp_path, SMALL + "shift_mode = zero_at_t0\n")
+        # mitigation off: the column holds the shifted raw series, still
+        # flagged as unmitigated; on: the shifted mitigated series
+        for mitigate in ("off", "on"):
+            conf = _write_config(
+                tmp_path,
+                SMALL + f"shift_mode = zero_at_t0\np_layer = 0.01\nmitigate = {mitigate}\n",
+            )
+            out = tmp_path / mitigate
+            main(["run", str(conf), "--out", str(out), "--quiet"])
+            rows = [r.split(",") for r in (out / "entropy.csv").read_text().splitlines()[1:]]
+            assert float(rows[0][2]) == pytest.approx(0.0, abs=1e-12)
+            for r in rows:
+                assert r[5].endswith("shifted")
+                assert ("no_mitigation" in r[5]) == (mitigate == "off")
+            if mitigate == "off":
+                raw = np.array([float(r[1]) for r in rows])
+                shifted = np.array([float(r[2]) for r in rows])
+                np.testing.assert_allclose(shifted, raw - raw[0], atol=1e-11)
+
+
+class TestManifestLayers:
+    @pytest.mark.parametrize("initial", ["neel", "singlet"])
+    @pytest.mark.parametrize("boundary", ["pbc", "obc"])
+    def test_layer_counts_are_gate_level(self, tmp_path, initial, boundary):
+        """The manifest counts the hardware-style gates, not the fused blocks."""
+        num_sites, p_layer, t = 8, 0.01, 0.3
+        conf = _write_config(
+            tmp_path,
+            f"L = {num_sites}\ninitial = {initial}\nboundary = {boundary}\n"
+            f"times = {t}\nquantities = twist\nn_shots = 64\np_layer = {p_layer}\n",
+        )
         out = tmp_path / "out"
-        main(["run", str(conf), "--out", str(out), "--quiet"])
-        rows = (out / "entropy.csv").read_text().splitlines()[1:]
-        first = rows[0].split(",")
-        assert float(first[2]) == pytest.approx(0.0, abs=1e-12)
-        assert "shifted" in first[5]
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        comments = dict(
+            line[2:].split(" = ", 1)
+            for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("# ") and " = " in line
+        )
+        prep = {"neel": prepare_neel, "singlet": prepare_singlet_product}[initial](num_sites)
+        total = layer_count(prep.then(evolution_circuit(t, num_sites, boundary)))
+        assert int(comments["layers_prep"]) == layer_count(prep)
+        assert int(comments["layers_total"]) == total
+        assert float(comments["p_tot_true"]) == float(
+            f"{effective_p_tot(p_layer, total):.12g}"
+        )
+        fused = prep.then(evolution_circuit(t, num_sites, boundary, fused=True))
+        assert layer_count(fused) < total
 
 
 class TestReport:
