@@ -19,7 +19,6 @@ from .config import ConfigError, ExperimentConfig, QuenchSpec, RunOptions, parse
 from .noise import (
     NoiseSpec,
     apply_depolarizing,
-    apply_readout_flip,
     effective_p_tot,
     estimate_p_tot_from_full_purity,
     mitigate_purity,
@@ -36,10 +35,7 @@ from .observables import (
     twist_order_parameter,
 )
 from .oracle import (
-    BlochVector,
     WannierState,
-    band_energy,
-    bloch_vector,
     closed_form_entropy,
     correlation_submatrix,
     renyi_from_correlation,

@@ -190,7 +190,7 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     entropy_rows: list[TimeSeriesPoint] = []
     twist_rows: list[TwistRow] = []
     berry_rows: list[BerryRow] = []
-    shot_files: dict[str, list[str]] = {}
+    shot_files: dict[str, str] = {}
 
     if "entropy" in opts.quantities:
         entropy_rows = _entropy_series(
@@ -202,16 +202,38 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
         )
 
     if "entropy" in opts.quantities:
-        _write_entropy_csv(out_dir / "entropy.csv", entropy_rows)
+        _write_table(
+            out_dir / "entropy.csv",
+            ("t", "raw", "mitigated", "oracle", "sigma", "flags"),
+            (
+                (r.t, r.raw, r.mitigated, r.oracle, r.sigma, r.flags)
+                for r in entropy_rows
+            ),
+        )
     if "twist" in opts.quantities:
-        _write_twist_csv(out_dir / "twist.csv", twist_rows)
+        _write_table(
+            out_dir / "twist.csv",
+            ("t", "re_raw", "im_raw", "re_post", "im_post", "re_exact", "im_exact"),
+            (
+                (r.t, r.z_raw.real, r.z_raw.imag, r.z_post.real, r.z_post.imag,
+                 r.z_exact.real, r.z_exact.imag)
+                for r in twist_rows
+            ),
+        )
     if "berry" in opts.quantities:
-        _write_berry_csv(out_dir / "berry.csv", berry_rows)
+        _write_table(
+            out_dir / "berry.csv",
+            ("t", "gamma_raw", "gamma_post", "gamma_exact", "flags"),
+            (
+                (r.t, r.gamma_raw, r.gamma_post, r.gamma_exact, r.flags)
+                for r in berry_rows
+            ),
+        )
     if opts.save_shots and shot_files:
         shots_dir = out_dir / "shots"
         shots_dir.mkdir(exist_ok=True)
-        for name, lines in shot_files.items():
-            (shots_dir / name).write_text("".join(lines))
+        for name, text in shot_files.items():
+            (shots_dir / name).write_text(text)
 
     _write_manifest(
         out_dir / "manifest.txt",
@@ -336,16 +358,9 @@ def _entropy_series(
             )
         )
         if opts.save_shots:
-            lines = [
-                f"# L={spec.num_sites} N_U={spec.num_unitaries} "
-                f"N_M={spec.num_shots} seed={spec.seed}\n"
-            ]
-            for u_pos, r in enumerate(chunk, start=1):
-                for key in sorted(r[3]):
-                    lines.append(
-                        f"{u_pos} {index_to_bits(key, spec.num_sites)} {r[3][key]}\n"
-                    )
-            shot_files[f"entropy_t{t_idx:04d}.txt"] = lines
+            shot_files[f"entropy_t{t_idx:04d}.txt"] = _shot_file(
+                spec, spec.num_unitaries, enumerate((r[3] for r in chunk), start=1)
+            )
         if not quiet:
             print(
                 f"t={t: .6f}  S_unbiased={rows[-1].raw_unbiased: .4f}  "
@@ -411,68 +426,31 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
             BerryRow(t, raw_point.gamma, gamma_post, gamma_exact, tuple(flags))
         )
         if opts.save_shots:
-            lines = [
-                f"# L={spec.num_sites} N_U=1 N_M={spec.num_shots} seed={spec.seed}\n"
-            ]
-            for key in sorted(counts):
-                lines.append(
-                    f"0 {index_to_bits(key, spec.num_sites)} {counts[key]}\n"
-                )
-            shot_files[f"twist_t{t_idx:04d}.txt"] = lines
+            shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(spec, 1, [(0, counts)])
     return twist_rows, berry_rows
 
 
-def _write_entropy_csv(path: Path, rows: list[TimeSeriesPoint]) -> None:
+def _shot_file(spec, num_unitaries: int, rounds) -> str:
+    """Shot-table text: a header, then "u bits count" per outcome, keys ascending."""
+    lines = [
+        f"# L={spec.num_sites} N_U={num_unitaries} "
+        f"N_M={spec.num_shots} seed={spec.seed}\n"
+    ]
+    for u, counts in rounds:
+        lines += [
+            f"{u} {index_to_bits(key, spec.num_sites)} {counts[key]}\n"
+            for key in sorted(counts)
+        ]
+    return "".join(lines)
+
+
+def _write_table(path: Path, header, rows) -> None:
+    """CSV with numbers at 12 significant digits and flag tuples ';'-joined."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "raw", "mitigated", "oracle", "sigma", "flags"])
-        for r in rows:
-            w.writerow(
-                [
-                    _fmt(r.t),
-                    _fmt(r.raw),
-                    _fmt(r.mitigated),
-                    _fmt(r.oracle),
-                    _fmt(r.sigma),
-                    ";".join(r.flags),
-                ]
-            )
-
-
-def _write_twist_csv(path: Path, rows: list[TwistRow]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["t", "re_raw", "im_raw", "re_post", "im_post", "re_exact", "im_exact"]
-        )
-        for r in rows:
-            w.writerow(
-                [
-                    _fmt(r.t),
-                    _fmt(r.z_raw.real),
-                    _fmt(r.z_raw.imag),
-                    _fmt(r.z_post.real),
-                    _fmt(r.z_post.imag),
-                    _fmt(r.z_exact.real),
-                    _fmt(r.z_exact.imag),
-                ]
-            )
-
-
-def _write_berry_csv(path: Path, rows: list[BerryRow]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "gamma_raw", "gamma_post", "gamma_exact", "flags"])
-        for r in rows:
-            w.writerow(
-                [
-                    _fmt(r.t),
-                    _fmt(r.gamma_raw),
-                    _fmt(r.gamma_post),
-                    _fmt(r.gamma_exact),
-                    ";".join(r.flags),
-                ]
-            )
+        w.writerow(header)
+        for row in rows:
+            w.writerow([";".join(x) if isinstance(x, tuple) else _fmt(x) for x in row])
 
 
 def _write_manifest(
@@ -518,10 +496,23 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
     num_qubits = int(header["L"])
     num_shots = int(header["N_M"])
     grouped: dict[int, dict[int, int]] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
-        u_str, bits, count = line.split()
+        fields = line.split()
+        if (
+            len(fields) != 3
+            or not fields[0].isdecimal()
+            or len(fields[1]) != num_qubits
+            or set(fields[1]) - {"0", "1"}
+            or not fields[2].isdecimal()
+            or int(fields[2]) < 1
+        ):
+            raise ValueError(
+                f"{path}:{lineno}: expected 'round bits count' with {num_qubits} "
+                f"bits of 0/1 and a positive count, got {line!r}"
+            )
+        u_str, bits, count = fields
         grouped.setdefault(int(u_str), {})[int(bits, 2)] = int(count)
     return [
         ShotTable(u, num_qubits, num_shots, counts)
@@ -547,9 +538,10 @@ def _series_stats(est: np.ndarray, ref: np.ndarray, circular: bool = False):
     diff = est[good] - ref[good]
     if circular:
         diff = np.angle(np.exp(1j * diff))
+    err = np.abs(diff)  # complex series deviate by their modulus
     return (
-        float(np.sqrt(np.mean(diff**2))),
-        float(np.max(np.abs(diff))),
+        float(np.sqrt(np.mean(err**2))),
+        float(np.max(err)),
         int(np.sum(good)),
     )
 
@@ -590,12 +582,10 @@ def compare_report(out_dir: str | Path) -> str:
                     for a, b in zip(cols[f"re_{series}"], cols[f"im_{series}"])
                 ]
             )
-            good = np.isfinite(z.real) & np.isfinite(z_exact.real)
-            if np.any(good):
-                err = np.abs(z[good] - z_exact[good])
+            rms, peak, n = _series_stats(z, z_exact)
+            if n:
                 lines.append(
-                    f"twist {series}: rms={_fmt(float(np.sqrt(np.mean(err**2))))} "
-                    f"max={_fmt(float(np.max(err)))} points={int(np.sum(good))}"
+                    f"twist {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}"
                 )
 
     berry_path = out_dir / "berry.csv"

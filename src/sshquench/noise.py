@@ -21,8 +21,11 @@ Readout noise, independent per-bit flips, exercises symmetry postselection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
+
+from .state import pack_bits
 
 
 @dataclass(frozen=True)
@@ -62,14 +65,6 @@ def apply_depolarizing(distribution: np.ndarray, p_tot: float) -> np.ndarray:
     return (1.0 - p_tot) * d + p_tot / d.size
 
 
-def apply_readout_flip(
-    index: int, num_qubits: int, flip_prob: float, rng: np.random.Generator
-) -> int:
-    """Flip each bit of one outcome independently with probability flip_prob."""
-    flipped = flip_outcomes(np.array([index], dtype=np.int64), num_qubits, flip_prob, rng)
-    return int(flipped[0])
-
-
 def flip_outcomes(
     outcomes: np.ndarray, num_qubits: int, flip_prob: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -80,8 +75,7 @@ def flip_outcomes(
     if flip_prob == 0.0 or out.size == 0:
         return out.copy()
     flips = rng.random((out.size, num_qubits)) < flip_prob
-    powers = 1 << np.arange(num_qubits - 1, -1, -1, dtype=np.int64)
-    return out ^ (flips @ powers)
+    return out ^ pack_bits(flips.T)
 
 
 def forward_noisy_purity(exact_purity: float, p_tot: float, subsystem_size: int) -> float:
@@ -103,25 +97,23 @@ class MitigationValue:
 
 
 def estimate_p_tot_from_full_purity(
-    measured_purity: float, num_qubits: int, tol: float = 1e-12
+    measured_purity: float, num_qubits: int
 ) -> MitigationValue:
     """Invert the full-system purity relation for the error rate.
 
-    The forward map p -> purity is strictly decreasing on [0, 1] from 1 down
-    to 2^-L, so bisection finds the unique root. Measurements outside that
-    range are clamped to the nearest endpoint and flagged.
+    With exact full purity 1 the relation reads P = (1 - p)^2 (1 - 2^-L) + 2^-L,
+    strictly decreasing on [0, 1] from 1 down to 2^-L, so
+    p = 1 - sqrt((P - 2^-L) / (1 - 2^-L)). Measurements outside that range
+    are clamped to the nearest endpoint and flagged.
     """
     lo_purity = forward_noisy_purity(1.0, 1.0, num_qubits)  # 2^-L
     clamped = not (lo_purity - 1e-12 <= measured_purity <= 1.0 + 1e-12)
     target = min(1.0, max(lo_purity, measured_purity))
-    lo, hi = 0.0, 1.0  # f(lo) = 1 >= target >= f(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if forward_noisy_purity(1.0, mid, num_qubits) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return MitigationValue(0.5 * (lo + hi), clamped)
+    p = 1.0 - sqrt((target - lo_purity) / (1.0 - lo_purity))
+    # p = 1 (full purity at or below 2^-L) leaves nothing to invert and
+    # mitigate_purity rejects it; the largest float below 1 lets that point
+    # through, where its mitigated value is clamped and flagged.
+    return MitigationValue(min(p, float(np.nextafter(1.0, 0.0))), clamped)
 
 
 def mitigate_purity(

@@ -22,7 +22,7 @@ from math import pi
 
 import numpy as np
 
-from .state import QuantumState, bit_table, probabilities
+from .state import QuantumState, probabilities, qubit_bits
 
 BERRY_RELIABLE_MAGNITUDE = 1e-3  # below this the argument is noise-dominated
 
@@ -30,18 +30,13 @@ BERRY_RELIABLE_MAGNITUDE = 1e-3  # below this the argument is noise-dominated
 @lru_cache(maxsize=8)
 def _weighted_occupation_table(num_sites: int) -> np.ndarray:
     """W[index] = sum_j j s_j over sites j = 1..L, for every basis index."""
-    bits = bit_table(num_sites)
-    sites = np.arange(1, num_sites + 1, dtype=np.int64)
-    w = bits @ sites
+    w = _weighted_occupation_of(np.arange(1 << num_sites, dtype=np.int64), num_sites)
     w.setflags(write=False)
     return w
 
 
 def _weighted_occupation_of(keys: np.ndarray, num_sites: int) -> np.ndarray:
-    w = np.zeros_like(keys)
-    for q in range(num_sites):
-        w += ((keys >> (num_sites - 1 - q)) & 1) * (q + 1)
-    return w
+    return sum(j * s for j, s in enumerate(qubit_bits(keys, num_sites), start=1))
 
 
 def _phase_angles(weighted: np.ndarray, num_sites: int, q: int, kind: str) -> np.ndarray:
@@ -148,10 +143,7 @@ def postselect_half_filling(counts: dict[int, int], num_sites: int) -> dict[int,
     if not counts:
         raise ValueError("empty counts")
     keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    weights = np.zeros_like(keys)
-    for q in range(num_sites):
-        weights += (keys >> q) & 1
-    kept = keys[weights == half]
+    kept = keys[sum(qubit_bits(keys, num_sites)) == half]
     return {int(k): counts[int(k)] for k in kept}
 
 

@@ -28,46 +28,6 @@ XI_CLAMP_ATOL = 1e-8  # tolerated eigenvalue excursion outside [0, 1]
 Site = tuple[str, int]  # (sublattice "A" | "B", cell index)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Momentum-space coupling vector of the dimerized chain.
-
-    components = (2J + 2J' cos k, 2J' sin k, 0); its magnitude is the band
-    energy scale and its phase the chirality angle, whose winding as k runs
-    through the zone distinguishes the two dimerization patterns.
-    """
-
-    k: float
-    components: tuple[float, float, float]
-
-    @property
-    def magnitude(self) -> float:
-        return sqrt(sum(c * c for c in self.components))
-
-    @property
-    def phase(self) -> float:
-        dx, dy, _ = self.components
-        return float(np.arctan2(dy, dx))
-
-    def chirality(self, sign: int = +1) -> complex:
-        """Unit phase factor (dx + i sign dy)/|d|; exp(i sign k) on a flat band."""
-        dx, dy, _ = self.components
-        return complex(dx, sign * dy) / self.magnitude
-
-
-def bloch_vector(k: float, coupling_intra: float, coupling_inter: float) -> BlochVector:
-    j, jp = coupling_intra, coupling_inter
-    return BlochVector(
-        k, (2.0 * j + 2.0 * jp * cos(k), 2.0 * jp * sin(k), 0.0)
-    )
-
-
-def band_energy(k: float, coupling_intra: float, coupling_inter: float) -> tuple[float, float]:
-    """Bloch band pair (E-, E+) = -+2 sqrt(J^2 + 2 J J' cos k + J'^2)."""
-    e = bloch_vector(k, coupling_intra, coupling_inter).magnitude
-    return (-e, e)
-
-
 def _require_flat_band(couplings: tuple[float, float]) -> tuple[float, float]:
     if couplings not in ((0.0, 1.0), (1.0, 0.0)):
         raise ValueError(

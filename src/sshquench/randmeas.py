@@ -32,9 +32,9 @@ from .state import (
     Gate1Q,
     QuantumState,
     apply_gate,
-    counts_from_outcomes,
+    pack_bits,
     probabilities,
-    sample_outcomes,
+    qubit_bits,
     sample_shots,
 )
 
@@ -87,34 +87,6 @@ def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> Quantu
     return state
 
 
-def collect_shot_table(
-    state: QuantumState,
-    unitary_index: int,
-    num_shots: int,
-    rng: np.random.Generator,
-    unitary_sampler: Callable[[np.random.Generator], np.ndarray] = sample_haar_unitary,
-    distribution_map: Callable[[np.ndarray], np.ndarray] | None = None,
-    outcome_map: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
-) -> ShotTable:
-    """One randomized-measurement round.
-
-    ``distribution_map`` and ``outcome_map`` are the noise insertion points:
-    the first transforms the outcome distribution (e.g. mixing with the
-    uniform one), the second transforms sampled outcome indices (e.g. readout
-    bit flips).
-    """
-    unitaries = tuple(unitary_sampler(rng) for _ in range(state.num_qubits))
-    dist = probabilities(rotate_state(state, unitaries))
-    if distribution_map is not None:
-        dist = distribution_map(dist)
-    if outcome_map is None:
-        counts = sample_shots(dist, num_shots, rng)
-    else:
-        outcomes = outcome_map(sample_outcomes(dist, num_shots, rng), rng)
-        counts = counts_from_outcomes(outcomes)
-    return ShotTable(unitary_index, state.num_qubits, num_shots, counts, unitaries)
-
-
 def run_randomized_measurements(
     state: QuantumState,
     num_unitaries: int,
@@ -122,16 +94,19 @@ def run_randomized_measurements(
     rng: np.random.Generator,
     unitary_sampler: Callable[[np.random.Generator], np.ndarray] = sample_haar_unitary,
 ) -> list[ShotTable]:
-    """Collect ``num_unitaries`` shot tables; deterministic for a fixed rng."""
+    """Collect ``num_unitaries`` shot tables; deterministic for a fixed rng.
+
+    Each round draws one unitary per qubit, then samples the rotated state.
+    """
     if num_unitaries < 1:
         raise ValueError("num_unitaries must be >= 1")
-    return [
-        collect_shot_table(state, u, num_shots, rng, unitary_sampler=unitary_sampler)
-        for u in range(1, num_unitaries + 1)
-    ]
-
-
-_PAIR_KERNEL = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    tables = []
+    for u in range(1, num_unitaries + 1):
+        unitaries = tuple(unitary_sampler(rng) for _ in range(state.num_qubits))
+        dist = probabilities(rotate_state(state, unitaries))
+        counts = sample_shots(dist, num_shots, rng)
+        tables.append(ShotTable(u, state.num_qubits, num_shots, counts, unitaries))
+    return tables
 
 
 def _kernel_transform(vec: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -164,11 +139,7 @@ def marginal_counts(table: ShotTable, subset: Sequence[int]) -> np.ndarray:
     out = np.zeros(1 << len(sub), dtype=np.int64)
     if keys.size == 0:
         return out
-    idx = np.zeros_like(keys)
-    for pos, q in enumerate(sub):
-        bit = (keys >> (n - 1 - q)) & 1
-        idx |= bit << (len(sub) - 1 - pos)
-    np.add.at(out, idx, vals)
+    np.add.at(out, pack_bits(qubit_bits(keys, n, sub)), vals)
     return out
 
 

@@ -3,7 +3,9 @@
 Bit convention used by every module in this package: chain site 1 is qubit 0
 and occupies the MOST significant bit of an amplitude index. The two-qubit
 bitstring "10" is therefore index 2, and the Neel pattern "1010" on four
-qubits is index 10.
+qubits is index 10. ``qubit_bits`` (reading bits out of indices) and
+``pack_bits`` (its inverse) are the one place this order is written down;
+every estimator that reads measured bitstrings goes through them.
 
 Gates are applied with strided kernels over the amplitude vector; no
 2^L x 2^L operator matrix is ever materialized. States are treated as
@@ -14,8 +16,7 @@ density matrices) while mutation is expressed as replacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -120,14 +121,26 @@ def index_to_bits(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
-@lru_cache(maxsize=8)
-def bit_table(num_qubits: int) -> np.ndarray:
-    """(2^L, L) array of bit values; column q is the bit of qubit q."""
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
-    shifts = num_qubits - 1 - np.arange(num_qubits)
-    table = (idx[:, None] >> shifts[None, :]) & 1
-    table.setflags(write=False)
-    return table
+def qubit_bits(
+    keys: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None
+) -> Iterator[np.ndarray]:
+    """Bit of each listed qubit (default: all, in order) in every index.
+
+    Yields one int64 array per qubit, each of the shape of ``keys``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    for q in range(num_qubits) if qubits is None else qubits:
+        bit = keys >> (num_qubits - 1 - q)
+        bit &= 1
+        yield bit
+
+
+def pack_bits(bits: Iterable[np.ndarray]) -> np.ndarray:
+    """Inverse of ``qubit_bits``: indices whose first listed bit is the MSB."""
+    index = np.int64(0)
+    for bit in bits:
+        index = (index << 1) | bit
+    return index
 
 
 def new_basis_state(num_qubits: int, bits: str) -> QuantumState:

@@ -19,7 +19,13 @@ from sshquench.circuits import (
     quench_circuit,
     rz_gate,
 )
-from sshquench.state import apply_gate, bit_table, new_basis_state, overlap, probabilities
+from sshquench.state import (
+    apply_gate,
+    new_basis_state,
+    overlap,
+    probabilities,
+    qubit_bits,
+)
 
 
 class TestPreparation:
@@ -122,7 +128,7 @@ class TestEvolution:
     def test_magnetization_sector_preserved(self, initial):
         num_sites = 8
         state = quench_circuit(0.83, num_sites, initial, "pbc").run()
-        weights = bit_table(num_sites).sum(axis=1)
+        weights = sum(qubit_bits(np.arange(1 << num_sites), num_sites))
         leaked = probabilities(state)[weights != num_sites // 2].sum()
         assert leaked < 1e-12
 

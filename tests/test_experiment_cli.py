@@ -137,6 +137,26 @@ class TestRunOutputs:
         twist_tables = read_shot_tables(out / "shots" / "twist_t0000.txt")
         assert twist_tables[0].unitary_index == 0
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1 -101 1",  # sign in the bitstring
+            "1 11 2",  # too few bits
+            "1 00110 2",  # too many bits
+            "1 0120 2",  # not a bit
+            "1 0101 -1",  # negative count
+            "1 0101 0",  # zero count
+            "1 0101 2.0",  # non-integer count
+            "1 0101",  # missing field
+            "x 0101 2",  # non-integer round
+        ],
+    )
+    def test_read_shot_tables_rejects_malformed_line(self, tmp_path, line):
+        path = tmp_path / "shots.txt"
+        path.write_text(f"# L=4 N_U=1 N_M=3 seed=1\n1 0011 1\n{line}\n")
+        with pytest.raises(ValueError, match="shots.txt:3:"):
+            read_shot_tables(path)
+
     def test_mitigation_improves_noisy_entropy(self, tmp_path):
         conf = _write_config(
             tmp_path,

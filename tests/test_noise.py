@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sshquench.noise import (
     NoiseSpec,
     apply_depolarizing,
-    apply_readout_flip,
     effective_p_tot,
     estimate_p_tot_from_full_purity,
     flip_outcomes,
@@ -67,8 +66,9 @@ class TestDepolarizing:
 
 class TestReadoutFlips:
     def test_zero_rate_identity(self):
-        rng = np.random.default_rng(0)
-        assert apply_readout_flip(0b1011, 4, 0.0, rng) == 0b1011
+        outcomes = np.array([0b1011, 0, 0b1111], dtype=np.int64)
+        out = flip_outcomes(outcomes, 4, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, outcomes)
 
     def test_half_rate_randomizes_each_bit(self):
         rng = np.random.default_rng(5)
@@ -118,6 +118,8 @@ class TestErrorRateEstimation:
         assert high.clamped and high.value == pytest.approx(0.0, abs=1e-10)
         low = estimate_p_tot_from_full_purity(0.0, 4)
         assert low.clamped and low.value == pytest.approx(1.0, abs=1e-10)
+        # a fully depolarized estimate still goes through mitigation, flagged
+        assert mitigate_purity(0.3, low.value, 2).clamped
 
 
 class TestMitigation:

@@ -1,4 +1,4 @@
-"""Free-fermion oracle: bands, Wannier states, correlation blocks, entropy."""
+"""Free-fermion oracle: Wannier states, correlation blocks, entropy."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from sshquench.circuits import quench_circuit
 from sshquench.oracle import (
     WannierState,
-    band_energy,
-    bloch_vector,
     closed_form_entropy,
     correlation_matrix_from_wanniers,
     correlation_submatrix,
@@ -19,39 +17,6 @@ from sshquench.oracle import (
     wannier_singlet,
 )
 from sshquench.state import purity
-
-
-class TestBands:
-    def test_gap_closes_at_critical_point(self):
-        lo, hi = band_energy(np.pi, 1.0, 1.0)
-        assert lo == pytest.approx(0.0, abs=1e-12)
-        assert hi == pytest.approx(0.0, abs=1e-12)
-
-    def test_flat_band(self):
-        for k in np.linspace(0, 2 * np.pi, 17):
-            assert band_energy(k, 0.0, 1.0) == pytest.approx((-2.0, 2.0), abs=1e-12)
-
-    def test_coupling_symmetry(self):
-        assert band_energy(0.0, 1.0, 0.0) == pytest.approx((-2.0, 2.0), abs=1e-12)
-
-    def test_general_couplings_allowed_here(self):
-        lo, hi = band_energy(0.0, 1.0, 0.5)
-        assert hi == pytest.approx(3.0)
-        assert lo == pytest.approx(-3.0)
-
-    def test_flat_band_vector_components(self):
-        for k in np.linspace(0, 2 * np.pi, 9):
-            vec = bloch_vector(k, 0.0, 1.0)
-            assert vec.components == pytest.approx(
-                (2 * np.cos(k), 2 * np.sin(k), 0.0), abs=1e-12
-            )
-            assert vec.magnitude == pytest.approx(2.0, abs=1e-12)
-            assert vec.chirality(+1) == pytest.approx(np.exp(1j * k), abs=1e-12)
-            assert vec.chirality(-1) == pytest.approx(np.exp(-1j * k), abs=1e-12)
-
-    def test_trivial_point_has_flat_phase(self):
-        for k in (0.3, 2.2):
-            assert bloch_vector(k, 1.0, 0.0).chirality(+1) == pytest.approx(1.0)
 
 
 class TestFlatBandGuard:
