@@ -211,7 +211,7 @@ def evolution_circuit(
 
 
 def quench_circuit(
-    t: float, num_sites: int, initial: str, boundary: str = "pbc", fused: bool = False
+    t: float, num_sites: int, initial: str, boundary: str = "pbc"
 ) -> Circuit:
     """State preparation followed by evolution to time ``t``."""
     if initial == "neel":
@@ -220,7 +220,7 @@ def quench_circuit(
         prep = prepare_singlet_product(num_sites)
     else:
         raise ValueError(f"initial must be 'neel' or 'singlet', got {initial!r}")
-    return prep.then(evolution_circuit(t, num_sites, boundary, fused=fused))
+    return prep.then(evolution_circuit(t, num_sites, boundary))
 
 
 def circuit_to_text(circuit: Circuit) -> str:

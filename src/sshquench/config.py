@@ -4,12 +4,13 @@ A config file is line-oriented ``key = value`` text; ``#`` starts a comment,
 blank lines are skipped, unknown or duplicate keys are errors. The full key
 schema is documented in the package README. Semantic validation failures
 carry the line number of the offending key so the CLI can print
-``file:line: message``.
+``file:line: message``. ``format_config`` is the parser's inverse.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,31 +44,25 @@ class QuenchSpec:
     boundary: str
     initial: str
     times: tuple[float, ...]
-    num_unitaries: int = 100
-    num_shots: int = 4096
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    seed: int = 1234
-
-    couplings = (0.0, 1.0)  # fixed: fully dimerized, intercell only
-
-    @property
-    def num_cells(self) -> int:
-        return self.num_sites // 2
+    num_unitaries: int
+    num_shots: int
+    noise: NoiseSpec
+    seed: int
 
 
 @dataclass(frozen=True)
 class RunOptions:
     """Runner behavior that does not alter the physics of the quench."""
 
-    quantities: tuple[str, ...] = ("entropy",)
-    subsystem: str = "half"
-    estimator: str = "unbiased"
-    shift_mode: str = "none"
-    mitigate: str = "auto"
-    save_shots: bool = False
-    threads: int = 1
-    exact_probabilities: bool = False
-    out_dir: str | None = None
+    quantities: tuple[str, ...]
+    subsystem: str
+    estimator: str
+    shift_mode: str
+    mitigate: str
+    save_shots: bool
+    threads: int
+    exact_probabilities: bool
+    out_dir: str | None
 
     def mitigation_enabled(self, noise: NoiseSpec) -> bool:
         if self.mitigate == "on":
@@ -83,33 +78,48 @@ class ExperimentConfig:
     options: RunOptions
 
 
-_KNOWN_KEYS = {
-    "L",
-    "boundary",
-    "initial",
-    "t_max",
-    "t_points",
-    "times",
-    "quantities",
-    "subsystem",
-    "n_unitaries",
-    "n_shots",
-    "estimator",
-    "p_layer",
-    "readout_flip",
-    "seed",
-    "shift_mode",
-    "mitigate",
-    "save_shots",
-    "out",
-    "threads",
-    "exact_probabilities",
+# Every key of the format, in the order format_config writes them: its
+# default text (None: required, or unset unless given) and the config field
+# it sets (None: not written back; t_max and t_points are written as times,
+# and an out key would make a re-run write over the run it came from).
+_KEYS = {
+    "L": (None, "spec.num_sites"),
+    "boundary": ("pbc", "spec.boundary"),
+    "initial": (None, "spec.initial"),
+    "times": (None, "spec.times"),
+    "t_max": ("0.7853981633974483", None),
+    "t_points": ("30", None),
+    "quantities": ("entropy", "options.quantities"),
+    "subsystem": ("half", "options.subsystem"),
+    "n_unitaries": ("100", "spec.num_unitaries"),
+    "n_shots": ("4096", "spec.num_shots"),
+    "estimator": ("unbiased", "options.estimator"),
+    "p_layer": ("0", "spec.noise.p_layer"),
+    "readout_flip": ("0", "spec.noise.readout_flip"),
+    "seed": ("1234", "spec.seed"),
+    "shift_mode": ("none", "options.shift_mode"),
+    "mitigate": ("auto", "options.mitigate"),
+    "save_shots": ("false", "options.save_shots"),
+    "threads": ("1", "options.threads"),
+    "exact_probabilities": ("false", "options.exact_probabilities"),
+    "out": (None, None),
 }
 
 _REQUIRED_KEYS = ("L", "initial")
 
+_CHOICES = {
+    "boundary": BOUNDARIES,
+    "initial": INITIALS,
+    "estimator": ESTIMATORS,
+    "shift_mode": SHIFT_MODES,
+    "mitigate": MITIGATE_MODES,
+}
 
-def _parse_bool(raw: str, key: str, line: int) -> bool:
+# lower bounds of the integer keys other than L
+_MINIMA = {"t_points": 1, "n_unitaries": 1, "n_shots": 2, "seed": 0, "threads": 1}
+
+
+def _parse_bool(raw: str, line: int, key: str) -> bool:
     if raw.lower() in ("true", "yes", "1"):
         return True
     if raw.lower() in ("false", "no", "0"):
@@ -117,27 +127,21 @@ def _parse_bool(raw: str, key: str, line: int) -> bool:
     raise ConfigError(f"{key} must be true or false, got {raw!r}", line)
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
+def _parse_int(raw: str, line: int, key: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{key} must be an integer, got {raw!r}", line) from None
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
+def _parse_float(raw: str, line: int, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}", line) from None
 
 
-def _parse_choice(raw: str, key: str, line: int, choices: tuple[str, ...]) -> str:
-    if raw not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {raw!r}", line)
-    return raw
-
-
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def parse_config_text(text: str) -> ExperimentConfig:
     entries: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         content = rawline.split("#", 1)[0].strip()
@@ -146,7 +150,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if "=" not in content:
             raise ConfigError(f"expected 'key = value', got {content!r}", lineno)
         key, value = (part.strip() for part in content.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
@@ -156,41 +160,58 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise ConfigError(f"missing required key {key!r}")
-    return _build_config(entries)
+    if "times" in entries and ("t_max" in entries or "t_points" in entries):
+        raise ConfigError(
+            "give either an explicit 'times' list or 't_max'/'t_points', not both",
+            entries["times"][1],
+        )
+    defaults = {key: (d, 0) for key, (d, _field) in _KEYS.items() if d is not None}
+    return _build_config({**defaults, **entries})
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    p = Path(path)
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    return parse_config_text(text, source=str(p))
+    return parse_config_text(text)
 
 
-def _build_times(entries: dict[str, tuple[str, int]]) -> tuple[float, ...]:
+def _value_text(value) -> str:
+    """Text of one field value; floats by repr, so they parse back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(_value_text(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def format_config(config: ExperimentConfig) -> str:
+    """Config text that parses back to exactly ``config``, ``out`` aside."""
+    return "".join(
+        f"{key} = {_value_text(attrgetter(field)(config))}\n"
+        for key, (_default, field) in _KEYS.items()
+        if field is not None
+    )
+
+
+def _build_times(
+    entries: dict[str, tuple[str, int]], t_points: int
+) -> tuple[float, ...]:
     if "times" in entries:
-        if "t_max" in entries or "t_points" in entries:
-            raise ConfigError(
-                "give either an explicit 'times' list or 't_max'/'t_points', not both",
-                entries["times"][1],
-            )
         raw, line = entries["times"]
         try:
             times = tuple(float(x) for x in raw.split(","))
         except ValueError:
             raise ConfigError("times must be comma-separated numbers", line) from None
+        if not all(np.isfinite(times)):
+            raise ConfigError("times must be finite", line)
     else:
-        t_max_raw, t_max_line = entries.get("t_max", ("0.7853981633974483", 0))
-        t_points_raw, t_points_line = entries.get("t_points", ("30", 0))
-        t_max = _parse_float(t_max_raw, "t_max", t_max_line)
-        t_points = _parse_int(t_points_raw, "t_points", t_points_line)
-        if t_max <= 0:
-            raise ConfigError("t_max must be positive", t_max_line)
-        if t_points < 1:
-            raise ConfigError("t_points must be >= 1", t_points_line)
+        line = entries["t_max"][1]
+        t_max = _parse_float(*entries["t_max"], "t_max")
+        if not 0.0 < t_max < np.inf:
+            raise ConfigError("t_max must be positive and finite", line)
         times = tuple(float(t) for t in np.linspace(0.0, t_max, t_points))
-        line = t_max_line
     if any(t < 0 for t in times):
         raise ConfigError("times must be nonnegative", line)
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -199,11 +220,9 @@ def _build_times(entries: dict[str, tuple[str, int]]) -> tuple[float, ...]:
 
 
 def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
-    def get(key: str, default: str) -> tuple[str, int]:
-        return entries.get(key, (default, 0))
-
-    l_raw, l_line = entries["L"]
-    num_sites = _parse_int(l_raw, "L", l_line)
+    """Typed, validated config from raw (text, line) entries, defaults included."""
+    l_line = entries["L"][1]
+    num_sites = _parse_int(*entries["L"], "L")
     if num_sites > MAX_QUBITS:
         raise CapacityError(
             f"L = {num_sites} exceeds the dense statevector cap of {MAX_QUBITS}"
@@ -211,37 +230,29 @@ def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
     if num_sites < 4 or num_sites % 2:
         raise ConfigError(f"L must be even and >= 4, got {num_sites}", l_line)
 
-    raw, line = get("boundary", "pbc")
-    boundary = _parse_choice(raw, "boundary", line, BOUNDARIES)
+    for key, choices in _CHOICES.items():
+        raw, line = entries[key]
+        if raw not in choices:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(choices)}; got {raw!r}", line
+            )
+    ints: dict[str, int] = {}
+    for key, low in _MINIMA.items():
+        ints[key] = _parse_int(*entries[key], key)
+        if ints[key] < low:
+            raise ConfigError(f"{key} must be >= {low}", entries[key][1])
 
-    raw, line = entries["initial"]
-    initial = _parse_choice(raw, "initial", line, INITIALS)
+    times = _build_times(entries, ints["t_points"])
 
-    times = _build_times(entries)
-
-    raw, line = get("n_unitaries", "100")
-    num_unitaries = _parse_int(raw, "n_unitaries", line)
-    if num_unitaries < 1:
-        raise ConfigError("n_unitaries must be >= 1", line)
-
-    raw, line = get("n_shots", "4096")
-    num_shots = _parse_int(raw, "n_shots", line)
-    if num_shots < 2:
-        raise ConfigError("n_shots must be >= 2", line)
-
-    raw, line = get("p_layer", "0")
-    p_layer = _parse_float(raw, "p_layer", line)
-    raw2, line2 = get("readout_flip", "0")
-    readout = _parse_float(raw2, "readout_flip", line2)
+    p_layer = _parse_float(*entries["p_layer"], "p_layer")
+    readout = _parse_float(*entries["readout_flip"], "readout_flip")
     try:
         noise = NoiseSpec(p_layer=p_layer, readout_flip=readout)
     except ValueError as exc:
-        raise ConfigError(str(exc), line if "p_layer" in str(exc) else line2) from None
+        key = "p_layer" if "p_layer" in str(exc) else "readout_flip"
+        raise ConfigError(str(exc), entries[key][1]) from None
 
-    raw, line = get("seed", "1234")
-    seed = _parse_int(raw, "seed", line)
-
-    raw, line = get("quantities", "entropy")
+    raw, line = entries["quantities"]
     quantities = tuple(q.strip() for q in raw.split(","))
     for q in quantities:
         if q not in QUANTITIES:
@@ -251,66 +262,43 @@ def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
     if len(set(quantities)) != len(quantities):
         raise ConfigError("duplicate quantity", line)
 
-    raw, line = get("subsystem", "half")
+    raw, line = entries["subsystem"]
     subsystem = raw.replace(" ", "")
-    _resolve_subsystem_checked(subsystem, num_sites, line)
+    try:
+        resolve_subsystem(subsystem, num_sites)
+    except CapacityError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from None
     if "entropy" in quantities and subsystem in ("half", "bulk") and num_sites % 4:
         raise ConfigError(
             "symmetric-bipartition entropy needs L divisible by 4", l_line
         )
 
-    raw, line = get("estimator", "unbiased")
-    estimator = _parse_choice(raw, "estimator", line, ESTIMATORS)
-    raw, line = get("shift_mode", "none")
-    shift_mode = _parse_choice(raw, "shift_mode", line, SHIFT_MODES)
-    raw, line = get("mitigate", "auto")
-    mitigate = _parse_choice(raw, "mitigate", line, MITIGATE_MODES)
-
-    raw, line = get("save_shots", "false")
-    save_shots = _parse_bool(raw, "save_shots", line)
-    raw, line = get("exact_probabilities", "false")
-    exact_probabilities = _parse_bool(raw, "exact_probabilities", line)
-
-    raw, line = get("threads", "1")
-    threads = _parse_int(raw, "threads", line)
-    if threads < 1:
-        raise ConfigError("threads must be >= 1", line)
-
-    out_dir = entries["out"][0] if "out" in entries else None
-
     spec = QuenchSpec(
         num_sites=num_sites,
-        boundary=boundary,
-        initial=initial,
+        boundary=entries["boundary"][0],
+        initial=entries["initial"][0],
         times=times,
-        num_unitaries=num_unitaries,
-        num_shots=num_shots,
+        num_unitaries=ints["n_unitaries"],
+        num_shots=ints["n_shots"],
         noise=noise,
-        seed=seed,
+        seed=ints["seed"],
     )
     options = RunOptions(
         quantities=quantities,
         subsystem=subsystem,
-        estimator=estimator,
-        shift_mode=shift_mode,
-        mitigate=mitigate,
-        save_shots=save_shots,
-        threads=threads,
-        exact_probabilities=exact_probabilities,
-        out_dir=out_dir,
+        estimator=entries["estimator"][0],
+        shift_mode=entries["shift_mode"][0],
+        mitigate=entries["mitigate"][0],
+        save_shots=_parse_bool(*entries["save_shots"], "save_shots"),
+        threads=ints["threads"],
+        exact_probabilities=_parse_bool(
+            *entries["exact_probabilities"], "exact_probabilities"
+        ),
+        out_dir=entries["out"][0] if "out" in entries else None,
     )
     return ExperimentConfig(spec, options)
-
-
-def _resolve_subsystem_checked(
-    subsystem: str, num_sites: int, line: int
-) -> tuple[int, ...]:
-    try:
-        return resolve_subsystem(subsystem, num_sites)
-    except CapacityError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), line) from None
 
 
 def resolve_subsystem(subsystem: str, num_sites: int) -> tuple[int, ...]:
@@ -360,6 +348,8 @@ def with_overrides(
 ) -> ExperimentConfig:
     spec, options = config.spec, config.options
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         spec = replace(spec, seed=seed)
     if threads is not None:
         if threads < 1:

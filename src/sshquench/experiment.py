@@ -35,6 +35,7 @@ from .circuits import (
 from .config import (
     ExperimentConfig,
     default_output_dir,
+    format_config,
     parse_config,
     resolve_subsystem,
     with_overrides,
@@ -456,33 +457,18 @@ def _write_table(path: Path, header, rows) -> None:
 def _write_manifest(
     path: Path, config: ExperimentConfig, subset, layers_prep, layers_total, p_tot_true
 ) -> None:
-    spec, opts = config.spec, config.options
-    lines = [
-        "# sshquench run manifest: resolved configuration, re-runnable",
-        f"L = {spec.num_sites}",
-        f"boundary = {spec.boundary}",
-        f"initial = {spec.initial}",
-        "times = " + ",".join(repr(t) for t in spec.times),  # exact round trip
-        f"quantities = {','.join(opts.quantities)}",
-        f"subsystem = {opts.subsystem}",
-        f"n_unitaries = {spec.num_unitaries}",
-        f"n_shots = {spec.num_shots}",
-        f"estimator = {opts.estimator}",
-        f"p_layer = {_fmt(spec.noise.p_layer)}",
-        f"readout_flip = {_fmt(spec.noise.readout_flip)}",
-        f"seed = {spec.seed}",
-        f"shift_mode = {opts.shift_mode}",
-        f"mitigate = {opts.mitigate}",
-        f"save_shots = {'true' if opts.save_shots else 'false'}",
-        f"threads = {opts.threads}",
-        f"exact_probabilities = {'true' if opts.exact_probabilities else 'false'}",
-        f"# version = {__version__}",
-        f"# subsystem_qubits_0based = {','.join(str(q) for q in subset)}",
-        f"# layers_prep = {layers_prep}",
-        f"# layers_total = {layers_total}",
-        f"# p_tot_true = {_fmt(p_tot_true)}",
+    comments = [
+        f"version = {__version__}",
+        f"subsystem_qubits_0based = {','.join(str(q) for q in subset)}",
+        f"layers_prep = {layers_prep}",
+        f"layers_total = {layers_total}",
+        f"p_tot_true = {_fmt(p_tot_true)}",
     ]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(
+        "# sshquench run manifest: resolved configuration, re-runnable\n"
+        + format_config(config)
+        + "".join(f"# {line}\n" for line in comments)
+    )
 
 
 def read_shot_tables(path: str | Path) -> list[ShotTable]:
@@ -493,8 +479,12 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
     header = dict(
         item.split("=", 1) for item in lines[0].lstrip("# ").split() if "=" in item
     )
-    num_qubits = int(header["L"])
-    num_shots = int(header["N_M"])
+    try:
+        num_qubits, num_shots = int(header["L"]), int(header["N_M"])
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"{path}:1: expected a header with integer L= and N_M=, got {lines[0]!r}"
+        ) from None
     grouped: dict[int, dict[int, int]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
@@ -513,7 +503,10 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
                 f"bits of 0/1 and a positive count, got {line!r}"
             )
         u_str, bits, count = fields
-        grouped.setdefault(int(u_str), {})[int(bits, 2)] = int(count)
+        counts = grouped.setdefault(int(u_str), {})
+        if int(bits, 2) in counts:
+            raise ValueError(f"{path}:{lineno}: repeated round {u_str} bitstring {bits}")
+        counts[int(bits, 2)] = int(count)
     return [
         ShotTable(u, num_qubits, num_shots, counts)
         for u, counts in sorted(grouped.items())

@@ -24,7 +24,7 @@ worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,7 +92,6 @@ def run_randomized_measurements(
     num_unitaries: int,
     num_shots: int,
     rng: np.random.Generator,
-    unitary_sampler: Callable[[np.random.Generator], np.ndarray] = sample_haar_unitary,
 ) -> list[ShotTable]:
     """Collect ``num_unitaries`` shot tables; deterministic for a fixed rng.
 
@@ -102,7 +101,7 @@ def run_randomized_measurements(
         raise ValueError("num_unitaries must be >= 1")
     tables = []
     for u in range(1, num_unitaries + 1):
-        unitaries = tuple(unitary_sampler(rng) for _ in range(state.num_qubits))
+        unitaries = tuple(sample_haar_unitary(rng) for _ in range(state.num_qubits))
         dist = probabilities(rotate_state(state, unitaries))
         counts = sample_shots(dist, num_shots, rng)
         tables.append(ShotTable(u, state.num_qubits, num_shots, counts, unitaries))

@@ -1,5 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
+PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
+
+Criteria 3, 4 and 7 write config text and run it through the experiment
+runner, so the entropy they check is the one ``sshquench run`` writes."""
+import csv
 import time
 
 import numpy as np
@@ -11,9 +15,9 @@ from sshquench.circuits import (
     prepare_singlet_product,
     quench_circuit,
 )
-from sshquench.experiment import run_experiment
+from sshquench.config import parse_config_text
+from sshquench.experiment import execute, run_experiment
 from sshquench.noise import (
-    apply_depolarizing,
     effective_p_tot,
     estimate_p_tot_from_full_purity,
     flip_outcomes,
@@ -37,15 +41,7 @@ from sshquench.oracle import (
     hermitian_eigenvalues,
     renyi_from_correlation,
 )
-from sshquench.randmeas import (
-    ShotTable,
-    child_generator,
-    marginal_counts,
-    purity_statistic,
-    renyi2,
-    rotate_state,
-    sample_haar_unitary,
-)
+from sshquench.randmeas import child_generator
 from sshquench.state import (
     counts_from_outcomes,
     probabilities,
@@ -60,36 +56,22 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def _estimate_entropy_series(
-    initial, num_sites, boundary, times, num_unitaries, num_shots, seed, subset,
-    p_tot=0.0, want_full=False,
-):
-    """Randomized-measurement entropy along a quench, library-path identical
-    to the experiment runner."""
-    states = [quench_circuit(t, num_sites, initial, boundary).run() for t in times]
-    full = tuple(range(num_sites))
-    entropies, full_purities, subset_purities = [], [], []
-    for t_idx, state in enumerate(states):
-        xs, xf = [], []
-        for u in range(1, num_unitaries + 1):
-            rng = child_generator(seed, 0, t_idx, u)
-            unitaries = tuple(sample_haar_unitary(rng) for _ in range(num_sites))
-            dist = probabilities(rotate_state(state, unitaries))
-            if p_tot > 0.0:
-                dist = apply_depolarizing(dist, p_tot)
-            counts = counts_from_outcomes(sample_outcomes(dist, num_shots, rng))
-            table = ShotTable(u, num_sites, num_shots, counts)
-            xs.append(
-                purity_statistic(marginal_counts(table, subset), num_shots, "unbiased")
-            )
-            if want_full:
-                xf.append(
-                    purity_statistic(marginal_counts(table, full), num_shots, "unbiased")
-                )
-        subset_purities.append(float(np.mean(xs)))
-        entropies.append(renyi2(subset_purities[-1]))
-        full_purities.append(float(np.mean(xf)) if want_full else float("nan"))
-    return np.array(entropies), np.array(subset_purities), np.array(full_purities)
+def _entropy_config(initial, num_sites, times, num_unitaries, seed, p_layer=0.0):
+    """Config text of a ring quench measured on its half chain, 4096 shots."""
+    return (
+        f"L = {num_sites}\ninitial = {initial}\nboundary = pbc\n"
+        f"times = {','.join(repr(float(t)) for t in times)}\n"
+        f"n_unitaries = {num_unitaries}\nn_shots = 4096\n"
+        f"p_layer = {p_layer!r}\nseed = {seed}\n"
+    )
+
+
+def _run_entropy(out_dir, text):
+    """Run config text through the experiment runner; the entropy.csv columns."""
+    execute(parse_config_text(text), out_dir, quiet=True)
+    with (out_dir / "entropy.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: np.array([float(r[key]) for r in rows]) for key in ("raw", "mitigated")}
 
 
 def test_criterion_1_oracle_identity_suite():
@@ -147,7 +129,7 @@ def test_criterion_2_simulator_vs_oracle():
     _report(2, "simulator vs oracle purity", ok, f"max|dp|={worst:.2e} {elapsed:.1f}s")
 
 
-def test_criterion_3_randomized_measurement_reproduction():
+def test_criterion_3_randomized_measurement_reproduction(tmp_path):
     start = time.time()
     times = np.linspace(0.0, np.pi / 2, 30)
     oracle = np.array(
@@ -156,9 +138,9 @@ def test_criterion_3_randomized_measurement_reproduction():
     passing = 0
     stats = []
     for batch_index in range(20):
-        est, _, _ = _estimate_entropy_series(
-            "neel", 4, "pbc", times, 100, 4096, 1000 + batch_index, (0, 1)
-        )
+        est = _run_entropy(
+            tmp_path, _entropy_config("neel", 4, times, 100, 1000 + batch_index)
+        )["raw"]
         dev = est - oracle
         peak, rms = float(np.max(np.abs(dev))), float(np.sqrt(np.mean(dev**2)))
         stats.append((peak, rms))
@@ -175,7 +157,7 @@ def test_criterion_3_randomized_measurement_reproduction():
     )
 
 
-def test_criterion_4_noisy_mitigated_reproduction():
+def test_criterion_4_noisy_mitigated_reproduction(tmp_path):
     start = time.time()
     num_sites = 8
     times = np.linspace(0.0, np.pi / 2, 30)
@@ -189,17 +171,11 @@ def test_criterion_4_noisy_mitigated_reproduction():
     oracle = np.array(
         [closed_form_entropy("singlet", t, "pbc", num_cells=2) for t in times]
     )
-    raw_s, sub_p, full_p = _estimate_entropy_series(
-        "singlet", num_sites, "pbc", times, 100, 4096, 777, (0, 1, 2, 3),
-        p_tot=p_tot, want_full=True,
+    series = _run_entropy(
+        tmp_path, _entropy_config("singlet", num_sites, times, 100, 777, p_layer)
     )
-    mitigated = []
-    for noisy_sub, noisy_full in zip(sub_p, full_p):
-        p_est = estimate_p_tot_from_full_purity(noisy_full, num_sites).value
-        mitigated.append(renyi2(mitigate_purity(noisy_sub, p_est, 4).value))
-    mitigated = np.array(mitigated)
-    raw_rms = float(np.sqrt(np.nanmean((raw_s - oracle) ** 2)))
-    mit_rms = float(np.sqrt(np.nanmean((mitigated - oracle) ** 2)))
+    raw_rms = float(np.sqrt(np.nanmean((series["raw"] - oracle) ** 2)))
+    mit_rms = float(np.sqrt(np.nanmean((series["mitigated"] - oracle) ** 2)))
     elapsed = time.time() - start
     ok = mit_rms <= 0.2 and raw_rms >= 2.0 * mit_rms
     _report(
@@ -316,34 +292,29 @@ def test_criterion_6_berry_phase():
     )
 
 
-def test_criterion_7_estimator_statistics():
+def test_criterion_7_estimator_statistics(tmp_path):
     start = time.time()
-    num_sites, num_shots = 4, 4096
     t_mid, t_low, t_peak = np.pi / 16, 0.01, np.pi / 8
 
-    def one_estimate(state, num_unitaries, seed):
-        xs = []
-        for u in range(1, num_unitaries + 1):
-            rng = child_generator(seed, 0, 0, u)
-            unitaries = tuple(sample_haar_unitary(rng) for _ in range(num_sites))
-            dist = probabilities(rotate_state(state, unitaries))
-            counts = counts_from_outcomes(sample_outcomes(dist, num_shots, rng))
-            table = ShotTable(u, num_sites, num_shots, counts)
-            xs.append(purity_statistic(marginal_counts(table, (0, 1)), num_shots, "unbiased"))
-        return renyi2(float(np.mean(xs)))
+    def estimates(t, num_unitaries, seeds):
+        return np.array(
+            [
+                _run_entropy(
+                    tmp_path, _entropy_config("neel", 4, [t], num_unitaries, seed)
+                )["raw"][0]
+                for seed in seeds
+            ]
+        )
 
-    state_mid = quench_circuit(t_mid, num_sites, "neel", "pbc").run()
     reps = 100
-    s100 = np.array([one_estimate(state_mid, 100, 5000 + r) for r in range(reps)])
-    s200 = np.array([one_estimate(state_mid, 200, 9000 + r) for r in range(reps)])
+    s100 = estimates(t_mid, 100, range(5000, 5000 + reps))
+    s200 = estimates(t_mid, 200, range(9000, 9000 + reps))
     ratio = float(s200.std(ddof=1) / s100.std(ddof=1))
     ratio_ok = abs(ratio - 1 / np.sqrt(2)) <= 0.2 / np.sqrt(2)
 
     reps2 = 60
-    state_low = quench_circuit(t_low, num_sites, "neel", "pbc").run()
-    state_peak = quench_circuit(t_peak, num_sites, "neel", "pbc").run()
-    var_low = np.array([one_estimate(state_low, 100, 3000 + r) for r in range(reps2)]).var(ddof=1)
-    var_peak = np.array([one_estimate(state_peak, 100, 7000 + r) for r in range(reps2)]).var(ddof=1)
+    var_low = estimates(t_low, 100, range(3000, 3000 + reps2)).var(ddof=1)
+    var_peak = estimates(t_peak, 100, range(7000, 7000 + reps2)).var(ddof=1)
     elapsed = time.time() - start
     ok = ratio_ok and var_low > var_peak
     _report(

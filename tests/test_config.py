@@ -1,19 +1,35 @@
-"""Config parsing, validation, and subsystem resolution."""
+"""Config parsing, validation, formatting, and subsystem resolution."""
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshquench.config import (
+    BOUNDARIES,
+    ESTIMATORS,
+    INITIALS,
+    MITIGATE_MODES,
+    QUANTITIES,
+    SHIFT_MODES,
     ConfigError,
+    ExperimentConfig,
+    QuenchSpec,
+    RunOptions,
     default_output_dir,
+    format_config,
     parse_config_text,
     resolve_subsystem,
     with_overrides,
 )
+from sshquench.noise import NoiseSpec
 from sshquench.state import CapacityError
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 MINIMAL = "L = 8\ninitial = neel\n"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 class TestParsing:
@@ -100,6 +116,20 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text(MINIMAL + "p_layer = 1.5\n")
 
+    @pytest.mark.parametrize(
+        "line", ["times = 0, nan", "times = 0, inf", "t_max = nan", "t_max = inf"]
+    )
+    def test_times_must_be_finite(self, line):
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config_text(MINIMAL + line + "\n")
+        assert err.value.line == 3
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0") as err:
+            parse_config_text(MINIMAL + "seed = -3\n")
+        assert err.value.line == 3
+        assert parse_config_text(MINIMAL + "seed = 0\n").spec.seed == 0
+
     def test_booleans(self):
         cfg = parse_config_text(MINIMAL + "save_shots = true\nexact_probabilities = false\n")
         assert cfg.options.save_shots is True
@@ -141,6 +171,10 @@ class TestOverrides:
         # untouched fields survive
         assert new.spec.num_sites == 8
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            with_overrides(parse_config_text(MINIMAL), seed=-7)
+
     def test_output_root_resolution(self, monkeypatch):
         cfg = parse_config_text(MINIMAL)
         monkeypatch.delenv("SSHQUENCH_OUT", raising=False)
@@ -161,3 +195,49 @@ class TestOverrides:
         assert not cfg2.options.mitigation_enabled(cfg2.spec.noise)
         cfg3 = parse_config_text(MINIMAL + "mitigate = on\n")
         assert cfg3.options.mitigation_enabled(cfg3.spec.noise)
+
+
+@st.composite
+def configs(draw):
+    """Valid configurations with full-precision floats and no ``out``."""
+    finite = {"allow_nan": False, "allow_infinity": False}
+    times = draw(st.lists(st.floats(0.0, 1e3, **finite), min_size=1, max_size=6, unique=True))
+    spec = QuenchSpec(
+        num_sites=draw(st.sampled_from((4, 8, 12, 16))),
+        boundary=draw(st.sampled_from(BOUNDARIES)),
+        initial=draw(st.sampled_from(INITIALS)),
+        times=tuple(sorted(times)),
+        num_unitaries=draw(st.integers(1, 10**6)),
+        num_shots=draw(st.integers(2, 10**9)),
+        noise=NoiseSpec(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5))),
+        seed=draw(st.integers(0, 2**64)),
+    )
+    options = RunOptions(
+        quantities=tuple(draw(st.lists(st.sampled_from(QUANTITIES), min_size=1, unique=True))),
+        subsystem=draw(st.sampled_from(("half", "bulk", "1", "2,3", "4,1"))),
+        estimator=draw(st.sampled_from(ESTIMATORS)),
+        shift_mode=draw(st.sampled_from(SHIFT_MODES)),
+        mitigate=draw(st.sampled_from(MITIGATE_MODES)),
+        save_shots=draw(st.booleans()),
+        threads=draw(st.integers(1, 64)),
+        exact_probabilities=draw(st.booleans()),
+        out_dir=None,
+    )
+    return ExperimentConfig(spec, options)
+
+
+class TestFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(configs())
+    def test_round_trip(self, config):
+        assert parse_config_text(format_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "text",
+        [pytest.param(p.read_text(), id=p.name) for p in sorted(SCRIPTS.glob("*.conf"))]
+        + [pytest.param(text, id=name) for name, text in sorted(GOLDEN_CONFIGS.items())],
+    )
+    def test_shipped_configs_round_trip(self, text):
+        config = parse_config_text(text)
+        without_out = replace(config, options=replace(config.options, out_dir=None))
+        assert parse_config_text(format_config(config)) == without_out

@@ -149,12 +149,27 @@ class TestRunOutputs:
             "1 0101 2.0",  # non-integer count
             "1 0101",  # missing field
             "x 0101 2",  # non-integer round
+            "1 0011 2",  # repeats the round and bitstring of line 2
         ],
     )
     def test_read_shot_tables_rejects_malformed_line(self, tmp_path, line):
         path = tmp_path / "shots.txt"
         path.write_text(f"# L=4 N_U=1 N_M=3 seed=1\n1 0011 1\n{line}\n")
         with pytest.raises(ValueError, match="shots.txt:3:"):
+            read_shot_tables(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "# N_U=1 N_M=3 seed=1",  # no L
+            "# L=4 N_U=1 seed=1",  # no N_M
+            "# L=x N_U=1 N_M=3 seed=1",  # non-integer L
+        ],
+    )
+    def test_read_shot_tables_rejects_malformed_header(self, tmp_path, header):
+        path = tmp_path / "shots.txt"
+        path.write_text(f"{header}\n1 0011 3\n")
+        with pytest.raises(ValueError, match="shots.txt:1:"):
             read_shot_tables(path)
 
     def test_mitigation_improves_noisy_entropy(self, tmp_path):
@@ -263,6 +278,25 @@ class TestCliErrors:
     def test_capacity_exit_three(self, tmp_path):
         conf = _write_config(tmp_path, "L = 26\ninitial = neel\n")
         assert main(["run", str(conf)]) == 3
+
+    @pytest.mark.parametrize(
+        "line", ["seed = -3", "times = 0, nan", "times = 0, inf", "t_max = nan"]
+    )
+    def test_unrunnable_value_exit_two_before_output(self, tmp_path, capsys, line):
+        conf = _write_config(
+            tmp_path, f"L = 4\ninitial = neel\n{line}\nn_unitaries = 2\nn_shots = 16\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 2
+        assert ":3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exit_two(self, tmp_path, capsys):
+        conf = _write_config(tmp_path, "L = 4\ninitial = neel\nn_unitaries = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--seed", "-7", "--quiet"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.conf")]) == 2

@@ -31,10 +31,6 @@ def _bell_state():
     return apply_gate(apply_gate(new_basis_state(2, "00"), h_gate(0)), cx_gate(0, 1))
 
 
-def _identity_sampler(rng):
-    return np.eye(2, dtype=complex)
-
-
 class TestHaarSampling:
     def test_unitarity(self):
         rng = np.random.default_rng(0)
@@ -82,17 +78,6 @@ class TestShotCollection:
             assert ta.counts == tb.counts
             for ua, ub in zip(ta.unitaries, tb.unitaries):
                 np.testing.assert_array_equal(ua, ub)
-
-    def test_identity_hook_pins_all_shots(self):
-        tables = run_randomized_measurements(
-            new_basis_state(3, "000"),
-            4,
-            50,
-            np.random.default_rng(5),
-            unitary_sampler=_identity_sampler,
-        )
-        for tb in tables:
-            assert tb.counts == {0: 50}
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
