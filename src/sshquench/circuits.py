@@ -1,7 +1,7 @@
 """Circuits for the dimerized XX chain quench protocols.
 
-Initial-state preparation and the exact flat-band time evolution. With
-couplings (J, J') = (0, 1) the propagator factorizes into commuting two-qubit
+Initial-state preparation and the exact flat-band time evolution. At
+(J, J') = (0, 1) the propagator factorizes into commuting two-qubit
 blocks exp(-i t (XX + YY)) on the intercell links, so evolution circuits for
 arbitrary t carry no Trotter error. Gate-level circuits build each block from
 the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
@@ -92,9 +92,6 @@ class Circuit:
                     f"{self.num_qubits} qubits"
                 )
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
     def apply(self, state: QuantumState) -> QuantumState:
         for g in self.gates:
             state = apply_gate(state, g)
@@ -163,7 +160,7 @@ def prepare_singlet_product(num_sites: int) -> Circuit:
 
 
 def evolution_links(num_sites: int, boundary: str) -> list[tuple[int, int]]:
-    """Intercell links carrying the (J, J') = (0, 1) couplings, 0-based.
+    """Intercell links, which carry the coupling J' = 1; 0-based.
 
     Sites 2 and 3 (1-based) form the first link; a periodic chain adds the
     wrap link (L, 1). An open chain of length 2 has no links at all.

@@ -378,7 +378,7 @@ def _entropy_series(
 
 
 def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
-    reference = gauge_reference(initial_state, q=2)
+    reference = gauge_reference(initial_state)
     twist_rows: list[TwistRow] = []
     berry_rows: list[BerryRow] = []
 
@@ -407,13 +407,10 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
         if not raw_point.reliable:
             flags.append("raw_unreliable")
         if kept:
-            z_post = twist_order_parameter(
-                kept, spec.num_sites, q=1, source="postselected"
-            ).z
-            zn_post_res = particle_twist_amplitude(
-                kept, spec.num_sites, q=2, source="postselected"
+            z_post = twist_order_parameter(kept, spec.num_sites, q=1).z
+            post_point = berry_phase(
+                particle_twist_amplitude(kept, spec.num_sites, q=2), reference
             )
-            post_point = berry_phase(zn_post_res, reference)
             gamma_post = post_point.gamma
             if not post_point.reliable:
                 flags.append("post_unreliable")
@@ -481,9 +478,11 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
     )
     try:
         num_qubits, num_shots = int(header["L"]), int(header["N_M"])
+        num_rounds = int(header["N_U"])
     except (KeyError, ValueError):
         raise ValueError(
-            f"{path}:1: expected a header with integer L= and N_M=, got {lines[0]!r}"
+            f"{path}:1: expected a header with integer L=, N_U= and N_M=, "
+            f"got {lines[0]!r}"
         ) from None
     grouped: dict[int, dict[int, int]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -503,10 +502,18 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
                 f"bits of 0/1 and a positive count, got {line!r}"
             )
         u_str, bits, count = fields
-        counts = grouped.setdefault(int(u_str), {})
+        u = int(u_str)
+        # rounds 1..N_U; a twist file holds the single identity round 0
+        if not (1 <= u <= num_rounds or (u == 0 and num_rounds == 1)):
+            raise ValueError(f"{path}:{lineno}: round {u} outside 1..N_U={num_rounds}")
+        counts = grouped.setdefault(u, {})
         if int(bits, 2) in counts:
-            raise ValueError(f"{path}:{lineno}: repeated round {u_str} bitstring {bits}")
+            raise ValueError(f"{path}:{lineno}: repeated round {u} bitstring {bits}")
         counts[int(bits, 2)] = int(count)
+    if len(grouped) != num_rounds:
+        raise ValueError(
+            f"{path}:1: header N_U={num_rounds} but rounds {sorted(grouped)} found"
+        )
     return [
         ShotTable(u, num_qubits, num_shots, counts)
         for u, counts in sorted(grouped.items())

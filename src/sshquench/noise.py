@@ -43,10 +43,6 @@ class NoiseSpec:
                 f"readout_flip must be in [0, 0.5], got {self.readout_flip}"
             )
 
-    @property
-    def enabled(self) -> bool:
-        return self.p_layer > 0.0 or self.readout_flip > 0.0
-
 
 def effective_p_tot(p_layer: float, num_layers: int) -> float:
     """Total error probability of ``num_layers`` depolarizing layers."""

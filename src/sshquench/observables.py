@@ -50,19 +50,9 @@ def _phase_angles(weighted: np.ndarray, num_sites: int, q: int, kind: str) -> np
 
 @dataclass(frozen=True)
 class TwistResult:
-    """Complex twist amplitude with its provenance.
-
-    ``source`` is one of raw | postselected | exact. The position expectation
-    and polarization are one-line consequences of the phase angle,
-    gamma = (2 pi q / L) <X> and P = -gamma / (2 pi) in units of the particle
-    charge, exposed for convenience.
-    """
+    """Complex twist amplitude, |z| <= 1."""
 
     z: complex
-    q: int
-    num_sites: int
-    kind: str
-    source: str
 
     def __post_init__(self):
         if abs(self.z) > 1.0 + 1e-10:
@@ -77,17 +67,9 @@ class TwistResult:
         """Principal argument in (-pi, pi] with Arg(-1) = +pi."""
         return float(np.angle(self.z))
 
-    @property
-    def position_expectation(self) -> float:
-        return self.num_sites * self.angle / (2.0 * pi * self.q)
-
-    @property
-    def polarization(self) -> float:
-        return -self.angle / (2.0 * pi)
-
 
 def _twist_from_counts(
-    counts: dict[int, int], num_sites: int, q: int, kind: str, source: str
+    counts: dict[int, int], num_sites: int, q: int, kind: str
 ) -> TwistResult:
     if not counts:
         raise ValueError("empty counts")
@@ -97,26 +79,25 @@ def _twist_from_counts(
         raise ValueError("bitstring outside the register")
     weighted = _weighted_occupation_of(keys, num_sites)
     phases = _phase_angles(weighted, num_sites, q, kind)
-    z = complex(np.sum(vals * np.exp(1j * phases)) / vals.sum())
-    return TwistResult(z, q, num_sites, kind, source)
+    return TwistResult(complex(np.sum(vals * np.exp(1j * phases)) / vals.sum()))
 
 
 def twist_order_parameter(
-    counts: dict[int, int], num_sites: int, q: int = 1, source: str = "raw"
+    counts: dict[int, int], num_sites: int, q: int = 1
 ) -> TwistResult:
     """Spin twist amplitude from measured counts."""
-    return _twist_from_counts(counts, num_sites, q, "spin", source)
+    return _twist_from_counts(counts, num_sites, q, "spin")
 
 
 def particle_twist_amplitude(
-    counts: dict[int, int], num_sites: int, q: int = 2, source: str = "raw"
+    counts: dict[int, int], num_sites: int, q: int = 2
 ) -> TwistResult:
     """Particle-number twist amplitude from the same measured bitstrings.
 
     q = 2 is the half-filling choice; other q are accepted and apply the
     phase q-fold.
     """
-    return _twist_from_counts(counts, num_sites, q, "particle", source)
+    return _twist_from_counts(counts, num_sites, q, "particle")
 
 
 def exact_twist(
@@ -126,8 +107,7 @@ def exact_twist(
     n = state.num_qubits
     weighted = _weighted_occupation_table(n)
     phases = _phase_angles(weighted, n, q, kind)
-    z = complex(np.sum(probabilities(state) * np.exp(1j * phases)))
-    return TwistResult(z, q, n, kind, "exact")
+    return TwistResult(complex(np.sum(probabilities(state) * np.exp(1j * phases))))
 
 
 def postselect_half_filling(counts: dict[int, int], num_sites: int) -> dict[int, int]:
@@ -162,25 +142,22 @@ def principal_angle(theta: float) -> float:
     return pi if a == -pi else a
 
 
-def berry_phase(
-    result: TwistResult,
-    reference_angle: float = 0.0,
-    min_magnitude: float = BERRY_RELIABLE_MAGNITUDE,
-) -> BerryPoint:
+def berry_phase(result: TwistResult, reference_angle: float = 0.0) -> BerryPoint:
     """Phase angle of a twist amplitude, relative to ``reference_angle``.
 
-    Points with |z| below ``min_magnitude`` are emitted with a quality flag
-    rather than dropped; their angle is noise-dominated.
+    Points with |z| below ``BERRY_RELIABLE_MAGNITUDE`` are emitted with a
+    quality flag rather than dropped; their angle is noise-dominated.
     """
     gamma = principal_angle(result.angle - reference_angle)
-    return BerryPoint(gamma, result.magnitude >= min_magnitude, result.magnitude)
+    reliable = result.magnitude >= BERRY_RELIABLE_MAGNITUDE
+    return BerryPoint(gamma, reliable, result.magnitude)
 
 
-def gauge_reference(initial_state: QuantumState, q: int = 2) -> float:
+def gauge_reference(initial_state: QuantumState) -> float:
     """Twist-phase origin: the exact particle-twist argument of the initial state.
 
     At half filling on a finite ring the initial product states already carry
     a quantized twist argument (0 or pi depending on the pattern); measuring
     phases relative to it makes a phase-preserving quench read exactly zero.
     """
-    return exact_twist(initial_state, q=q, kind="particle").angle
+    return exact_twist(initial_state, q=2, kind="particle").angle

@@ -31,6 +31,7 @@ import numpy as np
 from .state import (
     Gate1Q,
     QuantumState,
+    _validated_subset,
     apply_gate,
     pack_bits,
     probabilities,
@@ -168,11 +169,7 @@ class PurityEstimate:
     """Ensemble-averaged purity; ``value`` may leave [0, 1] statistically."""
 
     value: float
-    subsystem: tuple[int, ...]
-    variant: str
-    num_unitaries: int
     sigma: float  # standard error of the round average; nan for one round
-    per_unitary: np.ndarray | None = field(repr=False, default=None)
 
 
 def estimate_purity(
@@ -184,9 +181,7 @@ def estimate_purity(
         raise ValueError("need at least one shot table")
     n = tables[0].num_qubits
     shots = tables[0].num_shots
-    sub = tuple(subset)
-    if not sub or len(set(sub)) != len(sub) or min(sub) < 0 or max(sub) >= n:
-        raise ValueError(f"invalid subsystem {sub} for {n} qubits")
+    sub = _validated_subset(n, subset)
     for tb in tables:
         if tb.num_qubits != n or tb.num_shots != shots:
             raise ValueError("tables disagree on qubit count or shot budget")
@@ -198,14 +193,7 @@ def estimate_purity(
         if len(stats) > 1
         else float("nan")
     )
-    return PurityEstimate(
-        value=float(np.mean(stats)),
-        subsystem=sub,
-        variant=variant,
-        num_unitaries=len(stats),
-        sigma=sigma,
-        per_unitary=stats,
-    )
+    return PurityEstimate(float(np.mean(stats)), sigma)
 
 
 def renyi2(purity_value: float) -> float:

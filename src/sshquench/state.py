@@ -227,20 +227,20 @@ def _subset_split(state: QuantumState, subset: Sequence[int]) -> np.ndarray:
     return np.transpose(psi, sub + rest).reshape(1 << len(sub), -1)
 
 
-def _validated_subset(state: QuantumState, subset: Iterable[int]) -> tuple[int, ...]:
+def _validated_subset(num_qubits: int, subset: Iterable[int]) -> tuple[int, ...]:
     sub = tuple(subset)
     if not sub:
         raise ValueError("subset must be nonempty")
     if len(set(sub)) != len(sub):
         raise ValueError("subset contains duplicate qubits")
-    if min(sub) < 0 or max(sub) >= state.num_qubits:
-        raise ValueError(f"subset {sub} out of range for {state.num_qubits} qubits")
+    if min(sub) < 0 or max(sub) >= num_qubits:
+        raise ValueError(f"subset {sub} out of range for {num_qubits} qubits")
     return sub
 
 
 def reduced_density_matrix(state: QuantumState, subset: Iterable[int]) -> np.ndarray:
     """Dense reduced density matrix of the given qubits (at most 12)."""
-    sub = _validated_subset(state, subset)
+    sub = _validated_subset(state.num_qubits, subset)
     if len(sub) > MAX_DENSE_SUBSET:
         raise CapacityError(
             f"dense reduced density matrix limited to {MAX_DENSE_SUBSET} qubits"
@@ -256,7 +256,7 @@ def purity(state: QuantumState, subset: Iterable[int]) -> float:
     spectrum, so the smaller side is always the one traced out; any subset of
     a supported state is therefore in capacity.
     """
-    sub = _validated_subset(state, subset)
+    sub = _validated_subset(state.num_qubits, subset)
     if len(sub) == state.num_qubits:
         norm = float(np.sum(np.abs(state.amplitudes) ** 2))
         return norm * norm

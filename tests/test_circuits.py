@@ -70,7 +70,7 @@ class TestEvolution:
         assert evolution_links(2, "obc") == []
 
     def test_length_two_open_chain_is_empty(self):
-        assert len(evolution_circuit(0.3, 2, "obc")) == 0
+        assert evolution_circuit(0.3, 2, "obc").gates == ()
 
     def test_time_zero_is_identity(self):
         initial = prepare_neel(4).run()

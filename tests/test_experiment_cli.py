@@ -150,6 +150,7 @@ class TestRunOutputs:
             "1 0101",  # missing field
             "x 0101 2",  # non-integer round
             "1 0011 2",  # repeats the round and bitstring of line 2
+            "2 0101 1",  # round above N_U
         ],
     )
     def test_read_shot_tables_rejects_malformed_line(self, tmp_path, line):
@@ -164,6 +165,8 @@ class TestRunOutputs:
             "# N_U=1 N_M=3 seed=1",  # no L
             "# L=4 N_U=1 seed=1",  # no N_M
             "# L=x N_U=1 N_M=3 seed=1",  # non-integer L
+            "# L=4 N_M=3 seed=1",  # no N_U
+            "# L=4 N_U=2 N_M=3 seed=1",  # round 2 missing, e.g. a cut-off file
         ],
     )
     def test_read_shot_tables_rejects_malformed_header(self, tmp_path, header):

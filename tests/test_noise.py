@@ -22,8 +22,6 @@ class TestNoiseSpec:
             NoiseSpec(p_layer=1.2)
         with pytest.raises(ValueError):
             NoiseSpec(readout_flip=0.6)
-        assert not NoiseSpec().enabled
-        assert NoiseSpec(p_layer=0.01).enabled
 
 
 class TestEffectivePTot:

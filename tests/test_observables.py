@@ -118,14 +118,6 @@ class TestParticleTwist:
                 _neel_particle_twist_formula(t, num_sites), abs=1e-12
             )
 
-    def test_position_and_polarization_identities(self):
-        state = quench_circuit(0.21, 8, "neel", "pbc").run()
-        res = exact_twist(state, q=2, kind="particle")
-        assert res.position_expectation == pytest.approx(
-            8 * res.angle / (4 * np.pi), abs=1e-12
-        )
-        assert res.polarization == pytest.approx(-res.angle / (2 * np.pi), abs=1e-12)
-
 
 class TestBerryPhase:
     def test_principal_branch(self):
@@ -139,7 +131,7 @@ class TestBerryPhase:
         from sshquench.observables import TwistResult
 
         for z, want in ((1, 0.0), (-1, np.pi), (1j, np.pi / 2)):
-            res = TwistResult(complex(z), 2, 4, "particle", "exact")
+            res = TwistResult(complex(z))
             assert berry_phase(res).gamma == pytest.approx(want)
 
     def test_sign_change_across_neel_resonance(self):

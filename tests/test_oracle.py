@@ -11,26 +11,11 @@ from sshquench.oracle import (
     correlation_matrix_from_wanniers,
     correlation_submatrix,
     entropy_period,
-    hermitian_eigenvalues,
     renyi_from_correlation,
     wannier_neel,
     wannier_singlet,
 )
 from sshquench.state import purity
-
-
-class TestFlatBandGuard:
-    @pytest.mark.parametrize("couplings", [(1.0, 1.0), (0.5, 0.0), (0.0, 2.0)])
-    def test_rejected_elsewhere(self, couplings):
-        with pytest.raises(ValueError):
-            wannier_neel(0, 0.1, couplings)
-        with pytest.raises(ValueError):
-            closed_form_entropy("neel", 0.1, "pbc", couplings=couplings)
-
-    def test_trivial_quench_point_is_static(self):
-        assert closed_form_entropy("singlet", 0.37, "pbc", couplings=(1.0, 0.0)) == 0.0
-        w = wannier_singlet(2, 0.37, couplings=(1.0, 0.0))
-        assert w.weight(("A", 2)) + w.weight(("B", 2)) == pytest.approx(1.0)
 
 
 class TestWannier:
@@ -87,7 +72,7 @@ class TestCorrelationBlocks:
             [[s * s, -1j * s * c], [1j * s * c, c * c]]
         )
         np.testing.assert_allclose(full, want, atol=1e-12)
-        eigs = hermitian_eigenvalues(full)
+        eigs = np.linalg.eigvalsh(full)
         np.testing.assert_allclose(sorted(eigs), [0.0, 1.0], atol=1e-12)
         assert renyi_from_correlation(eigs) == pytest.approx(0.0, abs=1e-12)
 
@@ -103,38 +88,13 @@ class TestCorrelationBlocks:
                 ]
             )
             np.testing.assert_allclose(block, want, atol=1e-12)
-            eigs = hermitian_eigenvalues(block)
+            eigs = np.linalg.eigvalsh(block)
             want_eigs = sorted([0.0, (1 - c) / 2, (1 + c) / 2])
             np.testing.assert_allclose(eigs, want_eigs, atol=1e-10)
 
     def test_singlet_block_at_quarter_period(self):
-        eigs = hermitian_eigenvalues(correlation_submatrix("singlet", np.pi / 4))
+        eigs = np.linalg.eigvalsh(correlation_submatrix("singlet", np.pi / 4))
         np.testing.assert_allclose(sorted(eigs), [0.0, 0.5, 0.5], atol=1e-10)
-
-
-class TestEigenvalueSolver:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**31), size=st.integers(1, 3))
-    def test_matches_iterative_solver(self, seed, size):
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        mat = (raw + raw.conj().T) / 2
-        got = hermitian_eigenvalues(mat)
-        want = np.linalg.eigvalsh(mat)
-        np.testing.assert_allclose(np.sort(got), np.sort(want), atol=1e-10)
-
-    def test_degenerate(self):
-        np.testing.assert_allclose(
-            hermitian_eigenvalues(np.eye(3) * 0.7), [0.7, 0.7, 0.7], atol=1e-14
-        )
-
-    def test_large_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.eye(4))
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestRenyiFromCorrelation:
@@ -155,16 +115,11 @@ class TestRenyiFromCorrelation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             renyi_from_correlation([1.1])
-        with pytest.raises(ValueError):
-            renyi_from_correlation([0.5], order=1.0)
 
     def test_general_order_against_direct_formula(self):
         xs = [0.3, 0.9]
-        for alpha in (0.5, 2.0, 3.0):
-            want = sum(
-                np.log2((1 - x) ** alpha + x**alpha) for x in xs
-            ) / (1 - alpha)
-            assert renyi_from_correlation(xs, alpha) == pytest.approx(want, abs=1e-12)
+        want = -sum(np.log2((1 - x) ** 2 + x**2) for x in xs)
+        assert renyi_from_correlation(xs) == pytest.approx(want, abs=1e-12)
 
 
 class TestClosedForms:
@@ -197,13 +152,13 @@ class TestClosedForms:
     def test_correlation_route_matches_closed_form(self):
         for t in np.linspace(0, np.pi, 50):
             neel = renyi_from_correlation(
-                hermitian_eigenvalues(correlation_submatrix("neel", t))
+                np.linalg.eigvalsh(correlation_submatrix("neel", t))
             )
             assert neel == pytest.approx(
                 closed_form_entropy("neel", t, "obc"), abs=1e-10
             )
             singlet = renyi_from_correlation(
-                hermitian_eigenvalues(correlation_submatrix("singlet", t))
+                np.linalg.eigvalsh(correlation_submatrix("singlet", t))
             )
             assert singlet == pytest.approx(
                 closed_form_entropy("singlet", t, "obc"), abs=1e-10

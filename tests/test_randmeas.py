@@ -198,8 +198,6 @@ class TestPurityEstimation:
         tables = run_randomized_measurements(state, 60, 512, np.random.default_rng(9))
         est = estimate_purity(tables, (0, 1, 2, 3))
         assert abs(est.value - 1.0) < 3 * est.sigma + 1e-9
-        assert est.variant == "unbiased"
-        assert est.num_unitaries == 60
 
     def test_estimate_purity_input_validation(self):
         with pytest.raises(ValueError):
