@@ -247,7 +247,7 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     return out_dir
 
 
-def _measure(state, spec, p_tot_true, rng, unitaries=()) -> dict[int, int]:
+def _measure(state, spec, p_tot_true, rng, unitaries=()) -> np.ndarray:
     """The one measurement chain: rotate, depolarize, sample, flip, count."""
     dist = probabilities(rotate_state(state, unitaries) if unitaries else state)
     if p_tot_true > 0.0:
@@ -255,7 +255,7 @@ def _measure(state, spec, p_tot_true, rng, unitaries=()) -> dict[int, int]:
     outcomes = sample_outcomes(dist, spec.num_shots, rng)
     if spec.noise.readout_flip > 0.0:
         outcomes = flip_outcomes(outcomes, spec.num_sites, spec.noise.readout_flip, rng)
-    return counts_from_outcomes(outcomes)
+    return counts_from_outcomes(outcomes, spec.num_sites)
 
 
 def _entropy_series(
@@ -303,7 +303,8 @@ def _entropy_series(
             if mitigate_on
             else float("nan")
         )
-        return x_unbiased, x_plugin, x_full, counts if opts.save_shots else None
+        shots = _nonzero(counts) if opts.save_shots else None
+        return x_unbiased, x_plugin, x_full, shots
 
     results = _parallel_map(one_round, tasks, opts.threads)
 
@@ -395,9 +396,9 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
             )
             continue
 
-        counts = _measure(
-            state, spec, p_tot_true, child_generator(spec.seed, TWIST_STREAM, t_idx)
-        )
+        rng = child_generator(spec.seed, TWIST_STREAM, t_idx)
+        keys, vals = _nonzero(_measure(state, spec, p_tot_true, rng))
+        counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
         kept = postselect_half_filling(counts, spec.num_sites)
 
         flags: list[str] = list(exact_flags)
@@ -424,20 +425,28 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
             BerryRow(t, raw_point.gamma, gamma_post, gamma_exact, tuple(flags))
         )
         if opts.save_shots:
-            shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(spec, 1, [(0, counts)])
+            shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(
+                spec, 1, [(0, (keys, vals))]
+            )
     return twist_rows, berry_rows
 
 
+def _nonzero(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, counts) of the outcomes seen, indices ascending."""
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys]
+
+
 def _shot_file(spec, num_unitaries: int, rounds) -> str:
-    """Shot-table text: a header, then "u bits count" per outcome, keys ascending."""
+    """Shot-table text: a header, then "u bits count" per (u, ``_nonzero``) round."""
     lines = [
         f"# L={spec.num_sites} N_U={num_unitaries} "
         f"N_M={spec.num_shots} seed={spec.seed}\n"
     ]
-    for u, counts in rounds:
+    for u, (keys, vals) in rounds:
         lines += [
-            f"{u} {index_to_bits(key, spec.num_sites)} {counts[key]}\n"
-            for key in sorted(counts)
+            f"{u} {index_to_bits(key, spec.num_sites)} {count}\n"
+            for key, count in zip(keys.tolist(), vals.tolist())
         ]
     return "".join(lines)
 
@@ -484,7 +493,7 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
             f"{path}:1: expected a header with integer L=, N_U= and N_M=, "
             f"got {lines[0]!r}"
         ) from None
-    grouped: dict[int, dict[int, int]] = {}
+    grouped: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
@@ -506,10 +515,11 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
         # rounds 1..N_U; a twist file holds the single identity round 0
         if not (1 <= u <= num_rounds or (u == 0 and num_rounds == 1)):
             raise ValueError(f"{path}:{lineno}: round {u} outside 1..N_U={num_rounds}")
-        counts = grouped.setdefault(u, {})
-        if int(bits, 2) in counts:
+        if u not in grouped:
+            grouped[u] = np.zeros(1 << num_qubits, dtype=np.int64)
+        if grouped[u][int(bits, 2)]:
             raise ValueError(f"{path}:{lineno}: repeated round {u} bitstring {bits}")
-        counts[int(bits, 2)] = int(count)
+        grouped[u][int(bits, 2)] = int(count)
     if len(grouped) != num_rounds:
         raise ValueError(
             f"{path}:1: header N_U={num_rounds} but rounds {sorted(grouped)} found"

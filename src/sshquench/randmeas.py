@@ -15,6 +15,10 @@ and subtracts the same-shot coincidence term, making each round an exact
 U-statistic. The pair kernel factorizes per qubit, so the quadratic form is
 evaluated in O(N_I 2^{N_I}) without materializing a 4^{N_I} kernel.
 
+Counts: a round keeps the integer vector of length 2^L that the multinomial
+draw returns (``ShotTable.counts``); a subsystem marginal is a reshape, a sum
+over the other qubits and a transpose into the listed order.
+
 Seeding: every stochastic task derives its generator through
 ``child_generator(master_seed, *key)``, a counter-based spawn of
 ``numpy.random.SeedSequence``. Work items keyed by (stream, time index,
@@ -33,9 +37,7 @@ from .state import (
     QuantumState,
     _validated_subset,
     apply_gate,
-    pack_bits,
     probabilities,
-    qubit_bits,
     sample_shots,
 )
 
@@ -68,15 +70,20 @@ class ShotTable:
     unitary_index: int
     num_qubits: int
     num_shots: int
-    counts: dict[int, int]
+    counts: np.ndarray  # one count per basis index, stored read-only
     unitaries: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        total = sum(self.counts.values())
+        counts = np.asarray(self.counts).view()
+        if counts.shape != (1 << self.num_qubits,):
+            raise ValueError(f"counts must be a vector of length 2**{self.num_qubits}")
+        if not np.issubdtype(counts.dtype, np.integer) or counts.min() < 0:
+            raise ValueError(f"counts must be nonnegative integers, got {counts.dtype}")
+        total = int(counts.sum())
         if total != self.num_shots:
             raise ValueError(f"counts sum to {total}, expected {self.num_shots}")
-        if self.counts and max(self.counts) >= (1 << self.num_qubits):
-            raise ValueError("bitstring outside the qubit register")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
 
 def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> QuantumState:
@@ -131,16 +138,14 @@ def hamming_pair_sum(weights: np.ndarray) -> float:
 
 
 def marginal_counts(table: ShotTable, subset: Sequence[int]) -> np.ndarray:
-    """Count vector over the subset register (subset in ascending site order)."""
+    """Count vector over the listed qubits, the first listed one as the MSB."""
     n = table.num_qubits
-    sub = tuple(subset)
-    keys = np.fromiter(table.counts.keys(), dtype=np.int64, count=len(table.counts))
-    vals = np.fromiter(table.counts.values(), dtype=np.int64, count=len(table.counts))
-    out = np.zeros(1 << len(sub), dtype=np.int64)
-    if keys.size == 0:
-        return out
-    np.add.at(out, pack_bits(qubit_bits(keys, n, sub)), vals)
-    return out
+    sub = _validated_subset(n, subset)
+    if sub == tuple(range(n)):
+        return table.counts  # the full chain in register order
+    rest = tuple(q for q in range(n) if q not in sub)
+    kept = table.counts.reshape((2,) * n).sum(axis=rest)  # axes in ascending order
+    return kept.transpose([sorted(sub).index(q) for q in sub]).reshape(-1)
 
 
 def purity_statistic(count_vector: np.ndarray, num_shots: int, variant: str) -> float:

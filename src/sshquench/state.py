@@ -4,8 +4,8 @@ Bit convention used by every module in this package: chain site 1 is qubit 0
 and occupies the MOST significant bit of an amplitude index. The two-qubit
 bitstring "10" is therefore index 2, and the Neel pattern "1010" on four
 qubits is index 10. ``qubit_bits`` (reading bits out of indices) and
-``pack_bits`` (its inverse) are the one place this order is written down;
-every estimator that reads measured bitstrings goes through them.
+``pack_bits`` (its inverse) write this order down for index arrays; a count
+vector reshaped to (2,)*L has qubit q on axis q in the same order.
 
 Gates are applied with strided kernels over the amplitude vector; no
 2^L x 2^L operator matrix is ever materialized. States are treated as
@@ -101,7 +101,7 @@ class QuantumState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude vector length must be 2**num_qubits")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = np.vdot(amps, amps).real
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.2e}")
         amps.setflags(write=False)
@@ -121,15 +121,13 @@ def index_to_bits(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
-def qubit_bits(
-    keys: np.ndarray, num_qubits: int, qubits: Iterable[int] | None = None
-) -> Iterator[np.ndarray]:
-    """Bit of each listed qubit (default: all, in order) in every index.
+def qubit_bits(keys: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
+    """Bit of each qubit, in qubit order, in every index.
 
     Yields one int64 array per qubit, each of the shape of ``keys``.
     """
     keys = np.asarray(keys, dtype=np.int64)
-    for q in range(num_qubits) if qubits is None else qubits:
+    for q in range(num_qubits):
         bit = keys >> (num_qubits - 1 - q)
         bit &= 1
         yield bit
@@ -184,8 +182,8 @@ def probabilities(state: QuantumState) -> np.ndarray:
 
 def sample_shots(
     distribution: np.ndarray, num_shots: int, rng: np.random.Generator
-) -> dict[int, int]:
-    """Multinomial sample of ``num_shots`` outcomes, as {index: count}.
+) -> np.ndarray:
+    """Multinomial sample of ``num_shots`` outcomes: one int64 count per index.
 
     Deterministic for a fixed generator state.
     """
@@ -194,28 +192,24 @@ def sample_shots(
     p = np.asarray(distribution, dtype=float)
     if abs(p.sum() - 1.0) > NORM_ATOL or np.any(p < -NORM_ATOL):
         raise ValueError("distribution entries must be nonnegative and sum to 1")
-    counts = rng.multinomial(num_shots, np.clip(p, 0.0, None) / p.sum())
-    hit = np.nonzero(counts)[0]
-    return {int(i): int(counts[i]) for i in hit}
+    return rng.multinomial(num_shots, np.clip(p, 0.0, None) / p.sum())
 
 
 def sample_outcomes(
     distribution: np.ndarray, num_shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-shot outcome indices (order carries no information beyond counts).
+    """Per-shot outcome indices in ascending order.
 
     Useful when a per-shot transformation, e.g. readout bit flips, has to be
     applied before counting.
     """
     counts = sample_shots(distribution, num_shots, rng)
-    keys = np.fromiter(counts.keys(), dtype=np.int64)
-    reps = np.fromiter(counts.values(), dtype=np.int64)
-    return np.repeat(keys, reps)
+    return np.repeat(np.arange(counts.size, dtype=np.int64), counts)
 
 
-def counts_from_outcomes(outcomes: np.ndarray) -> dict[int, int]:
-    keys, reps = np.unique(np.asarray(outcomes, dtype=np.int64), return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, reps)}
+def counts_from_outcomes(outcomes: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Count vector of length 2^num_qubits over outcome indices."""
+    return np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=1 << num_qubits)
 
 
 def _subset_split(state: QuantumState, subset: Sequence[int]) -> np.ndarray:

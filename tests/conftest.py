@@ -126,6 +126,11 @@ def haar_pair_product(rho_subset: np.ndarray, s: int, sp: int, n: int) -> float:
     return total
 
 
+def count_dict(counts: np.ndarray) -> dict[int, int]:
+    """{index: count} of the outcomes seen, the observables' input form."""
+    return {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
+
+
 def hamming_distance(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from conftest import count_dict
 from sshquench.circuits import (
     evolution_circuit,
     layer_count,
@@ -199,7 +200,9 @@ def test_criterion_5_twist_order_parameter_peaks():
             re_vals.append(exact.real)
             dist = probabilities(state)
             rng = child_generator(99, 2 if initial == "neel" else 3, t_idx)
-            counts = counts_from_outcomes(sample_outcomes(dist, 4096, rng))
+            counts = count_dict(
+                counts_from_outcomes(sample_outcomes(dist, 4096, rng), num_sites)
+            )
             sampled = twist_order_parameter(counts, num_sites).z
             for comp, got, want in (
                 (cos_ph, sampled.real, exact.real),

@@ -27,39 +27,47 @@ def measured_counts(draw):
         st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24, unique=True)
     )
     counts = {k: draw(st.integers(1, 5)) for k in keys}
-    subset = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    return n, counts, subset
+    return n, counts
+
+
+@st.composite
+def permuted_subset(draw, num_qubits):
+    """Distinct qubits in any listed order, ascending or not."""
+    picked = draw(st.sets(st.integers(0, num_qubits - 1), min_size=1))
+    return draw(st.permutations(sorted(picked)))
 
 
 @settings(max_examples=80, deadline=None)
 @given(measured_counts())
 def test_helper_matches_strings(case):
-    n, counts, subset = case
+    n, counts = case
     keys = np.array(list(counts), dtype=np.int64)
     strings = [index_to_bits(int(k), n) for k in keys]
     for q, bits in enumerate(qubit_bits(keys, n)):
         assert bits.tolist() == [int(s[q]) for s in strings]
-    picked = [int("".join(s[q] for q in subset), 2) for s in strings]
-    assert pack_bits(qubit_bits(keys, n, subset)).tolist() == picked
     assert pack_bits(qubit_bits(keys, n)).tolist() == keys.tolist()
 
 
-@settings(max_examples=80, deadline=None)
-@given(measured_counts())
-def test_marginal_counts_match_strings(case):
-    n, counts, subset = case
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_marginal_counts_match_strings(data):
+    # any listed order: the first listed qubit is the MSB of the marginal index
+    n, counts = data.draw(measured_counts())
+    subset = data.draw(permuted_subset(n))
     want = np.zeros(1 << len(subset), dtype=np.int64)
     for key, c in counts.items():
         s = index_to_bits(key, n)
         want[int("".join(s[q] for q in subset), 2)] += c
-    table = ShotTable(1, n, sum(counts.values()), counts)
+    vec = np.zeros(1 << n, dtype=np.int64)
+    vec[list(counts)] = list(counts.values())
+    table = ShotTable(1, n, sum(counts.values()), vec)
     np.testing.assert_array_equal(marginal_counts(table, subset), want)
 
 
 @settings(max_examples=80, deadline=None)
 @given(measured_counts())
 def test_weighted_occupation_matches_strings(case):
-    n, counts, _subset = case
+    n, counts = case
     keys = np.array(list(counts), dtype=np.int64)
     want = [
         sum(j * int(ch) for j, ch in enumerate(index_to_bits(int(k), n), start=1))
@@ -72,7 +80,7 @@ def test_weighted_occupation_matches_strings(case):
 @settings(max_examples=80, deadline=None)
 @given(measured_counts())
 def test_postselect_filter_matches_strings(case):
-    n, counts, _subset = case
+    n, counts = case
     if n % 2:
         n += 1  # the same keys read as an even register
     want = {k: c for k, c in counts.items() if index_to_bits(k, n).count("1") == n // 2}
@@ -82,7 +90,7 @@ def test_postselect_filter_matches_strings(case):
 @settings(max_examples=80, deadline=None)
 @given(measured_counts(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
 def test_flip_outcomes_replayed_on_strings(case, seed, flip_prob):
-    n, counts, _subset = case
+    n, counts = case
     keys = np.array(list(counts), dtype=np.int64)
     rng = np.random.default_rng(seed)
     clone = copy.deepcopy(rng)

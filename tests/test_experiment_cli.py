@@ -130,6 +130,7 @@ class TestRunOutputs:
         tables = read_shot_tables(out / "shots" / "entropy_t0000.txt")
         assert len(tables) == 12
         assert all(t.num_shots == 256 for t in tables)
+        assert all(t.counts.shape == (16,) and t.counts.sum() == 256 for t in tables)
         # re-analysis reproduces the recorded raw estimate at t = 0
         est = estimate_purity(tables, (0, 1), "unbiased")
         raw0 = float((out / "entropy.csv").read_text().splitlines()[1].split(",")[1])

@@ -160,13 +160,16 @@ class TestPostselectionUnderDepolarizing:
 
         from sshquench.circuits import quench_circuit
         from sshquench.observables import postselect_half_filling
+        from conftest import count_dict
         from sshquench.state import counts_from_outcomes, probabilities, sample_outcomes
 
         num_sites, p_tot, shots = 4, 0.4, 40_000
         state = quench_circuit(0.37, num_sites, "neel", "pbc").run()
         dist = apply_depolarizing(probabilities(state), p_tot)
         rng = np.random.default_rng(99)
-        counts = counts_from_outcomes(sample_outcomes(dist, shots, rng))
+        counts = count_dict(
+            counts_from_outcomes(sample_outcomes(dist, shots, rng), num_sites)
+        )
         kept = sum(postselect_half_filling(counts, num_sites).values())
         expect = (1 - p_tot) + p_tot * comb(num_sites, num_sites // 2) / 2**num_sites
         sigma = np.sqrt(expect * (1 - expect) / shots)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_dict
 from sshquench.circuits import prepare_neel, prepare_singlet_product, quench_circuit
 from sshquench.noise import flip_outcomes
 from sshquench.observables import (
@@ -188,8 +189,10 @@ class TestPostselection:
 
     def test_noiseless_data_unchanged(self):
         state = quench_circuit(0.3, 6, "neel", "pbc").run()
-        counts = counts_from_outcomes(
-            sample_outcomes(probabilities(state), 500, np.random.default_rng(12))
+        counts = count_dict(
+            counts_from_outcomes(
+                sample_outcomes(probabilities(state), 500, np.random.default_rng(12)), 6
+            )
         )
         assert postselect_half_filling(counts, 6) == counts
 
@@ -211,7 +214,7 @@ class TestPostselection:
             exact = exact_twist(state, q=1, kind="spin").z
             outcomes = sample_outcomes(probabilities(state), shots, rng)
             outcomes = flip_outcomes(outcomes, num_sites, flip, rng)
-            counts = counts_from_outcomes(outcomes)
+            counts = count_dict(counts_from_outcomes(outcomes, num_sites))
             raw = twist_order_parameter(counts, num_sites).z
             post = twist_order_parameter(
                 postselect_half_filling(counts, num_sites), num_sites

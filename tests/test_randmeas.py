@@ -67,7 +67,8 @@ class TestShotCollection:
             new_basis_state(2, "01"), 1, 1, np.random.default_rng(3)
         )
         assert len(tables) == 1
-        assert sum(tables[0].counts.values()) == 1
+        assert tables[0].counts.shape == (4,)
+        assert tables[0].counts.sum() == 1
         assert len(tables[0].unitaries) == 2
 
     def test_fixed_seed_reproducible(self):
@@ -75,15 +76,39 @@ class TestShotCollection:
         a = run_randomized_measurements(state, 5, 64, np.random.default_rng(11))
         b = run_randomized_measurements(state, 5, 64, np.random.default_rng(11))
         for ta, tb in zip(a, b):
-            assert ta.counts == tb.counts
+            np.testing.assert_array_equal(ta.counts, tb.counts)
             for ua, ub in zip(ta.unitaries, tb.unitaries):
                 np.testing.assert_array_equal(ua, ub)
 
     def test_counts_validated(self):
-        with pytest.raises(ValueError):
-            ShotTable(1, 2, 10, {0: 3})
-        with pytest.raises(ValueError):
-            ShotTable(1, 2, 1, {7: 1})
+        with pytest.raises(ValueError, match="counts sum to 3, expected 10"):
+            ShotTable(1, 2, 10, np.array([3, 0, 0, 0]))
+        # an index outside the two-qubit register needs a longer vector
+        with pytest.raises(ValueError, match="length 2\\*\\*2"):
+            ShotTable(1, 2, 1, np.array([0, 0, 0, 0, 0, 0, 0, 1]))
+
+    @pytest.mark.parametrize(
+        "num_shots, counts, match",
+        [
+            (3, np.array([1, 1, 1]), "length 2\\*\\*2"),
+            (4, np.array([[1, 1], [1, 1]]), "length 2\\*\\*2"),
+            (1, {3: 1}, "length 2\\*\\*2"),
+            (4, np.array([1.0, 1.0, 1.0, 1.0]), "nonnegative integers, got float64"),
+            (4, np.array([True, True, True, True]), "nonnegative integers, got bool"),
+            (10, np.array([12, -2, 0, 0]), "nonnegative integers, got int64"),
+        ],
+    )
+    def test_counts_rejected(self, num_shots, counts, match):
+        with pytest.raises(ValueError, match=match):
+            ShotTable(1, 2, num_shots, counts)
+
+    def test_counts_stored_read_only(self):
+        vec = np.array([1, 0, 2, 1], dtype=np.int32)
+        table = ShotTable(1, 2, 4, vec)
+        assert table.counts.tolist() == [1, 0, 2, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            table.counts[0] = 4
+        assert vec.flags.writeable  # the caller's array is left as it was
 
     def test_child_generator_keyed_independence(self):
         a = child_generator(123, 0, 4, 7).random(4)
@@ -106,11 +131,23 @@ class TestKernel:
             assert hamming_pair_sum(w) == pytest.approx(brute, rel=1e-12)
 
     def test_marginalization(self):
-        table = ShotTable(1, 3, 7, {0b101: 3, 0b100: 2, 0b011: 2})
+        counts = np.zeros(8, dtype=np.int64)
+        counts[[0b101, 0b100, 0b011]] = [3, 2, 2]
+        table = ShotTable(1, 3, 7, counts)
         # subset (0, 2): bits of sites 1 and 3
         vec = marginal_counts(table, (0, 2))
-        # 101 -> (1,1)=3 ; 100 -> (1,0)=2 ; 011 -> (0,1)=1
+        # 101 -> (1,1)=3 ; 100 -> (1,0)=2 ; 011 -> (0,1)=2
         np.testing.assert_array_equal(vec, [0, 2, 2, 3])
+        # subset (1, 0): site 2 is now the MSB
+        # 101 -> (0,1)=3 ; 100 -> (0,1)=2 ; 011 -> (1,0)=2
+        np.testing.assert_array_equal(marginal_counts(table, (1, 0)), [0, 5, 2, 0])
+        assert marginal_counts(table, (0, 1, 2)) is table.counts
+        np.testing.assert_array_equal(
+            marginal_counts(table, (2, 1, 0)), counts[[0, 4, 2, 6, 1, 5, 3, 7]]
+        )
+        for bad in ((), (0, 0), (3,)):
+            with pytest.raises(ValueError):
+                marginal_counts(table, bad)
 
     def test_statistic_variants_disagree_by_coincidence_term(self):
         counts = np.array([3, 1, 2, 4])
@@ -179,10 +216,7 @@ class TestPurityEstimation:
         num_shots = 128
         unb, plug = [], []
         for _ in range(600):
-            counts = sample_shots(dist, num_shots, rng)
-            vec = np.zeros(4)
-            for k, v in counts.items():
-                vec[k] = v
+            vec = sample_shots(dist, num_shots, rng)
             unb.append(purity_statistic(vec, num_shots, "unbiased"))
             plug.append(purity_statistic(vec, num_shots, "plugin"))
         unb, plug = np.array(unb), np.array(plug)
@@ -202,11 +236,11 @@ class TestPurityEstimation:
     def test_estimate_purity_input_validation(self):
         with pytest.raises(ValueError):
             estimate_purity([], (0,))
-        table = ShotTable(1, 2, 4, {0: 4})
+        table = ShotTable(1, 2, 4, np.array([4, 0, 0, 0]))
         with pytest.raises(ValueError):
             estimate_purity([table], (0, 5))
         with pytest.raises(ValueError):
-            estimate_purity([table, ShotTable(2, 2, 8, {0: 8})], (0,))
+            estimate_purity([table, ShotTable(2, 2, 8, np.array([8, 0, 0, 0]))], (0,))
 
 
 class TestRenyi2:

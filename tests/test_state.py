@@ -19,11 +19,13 @@ from sshquench.state import (
     QuantumState,
     apply_gate,
     bits_to_index,
+    counts_from_outcomes,
     index_to_bits,
     new_basis_state,
     probabilities,
     purity,
     reduced_density_matrix,
+    sample_outcomes,
     sample_shots,
 )
 
@@ -150,22 +152,35 @@ class TestProbabilitiesAndSampling:
     def test_deterministic_distribution_all_on_one(self):
         rng = np.random.default_rng(1)
         counts = sample_shots(np.array([0.0, 1.0, 0.0, 0.0]), 100, rng)
-        assert counts == {1: 100}
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [0, 100, 0, 0]
 
     def test_uniform_counts_within_binomial_bound(self):
         rng = np.random.default_rng(12345)
         n = 4096
         counts = sample_shots(np.full(4, 0.25), n, rng)
         sigma = np.sqrt(n * 0.25 * 0.75)
-        for value in counts.values():
+        assert counts.shape == (4,)
+        for value in counts:
             assert abs(value - n / 4) < 5 * sigma
-        assert sum(counts.values()) == n
+        assert counts.sum() == n
 
     def test_same_seed_same_counts(self):
         dist = np.array([0.1, 0.2, 0.3, 0.4])
         a = sample_shots(dist, 500, np.random.default_rng(99))
         b = sample_shots(dist, 500, np.random.default_rng(99))
-        assert a == b
+        np.testing.assert_array_equal(a, b)
+
+    def test_outcomes_ascending_and_counted_back(self):
+        # expanding the drawn counts in index order and counting them again
+        # gives the same vector, from the same generator draws
+        dist = np.array([0.0, 0.1, 0.2, 0.0, 0.3, 0.0, 0.4, 0.0])
+        counts = sample_shots(dist, 500, np.random.default_rng(5))
+        outcomes = sample_outcomes(dist, 500, np.random.default_rng(5))
+        assert outcomes.tolist() == sorted(outcomes.tolist())
+        np.testing.assert_array_equal(counts_from_outcomes(outcomes, 3), counts)
+        recount = counts_from_outcomes(np.array([2, 2, 0]), 3)
+        assert recount.tolist() == [1, 0, 2, 0, 0, 0, 0, 0]
 
     def test_invalid_distribution_rejected(self):
         rng = np.random.default_rng(0)
