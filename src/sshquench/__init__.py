@@ -16,6 +16,7 @@ from .circuits import (
     quench_circuit,
 )
 from .config import ConfigError, ExperimentConfig, QuenchSpec, RunOptions, parse_config
+from .experiment import run_randomized_measurements
 from .noise import (
     NoiseSpec,
     apply_depolarizing,
@@ -48,7 +49,6 @@ from .randmeas import (
     child_generator,
     estimate_purity,
     renyi2,
-    run_randomized_measurements,
     sample_haar_unitary,
 )
 from .state import (

@@ -6,12 +6,17 @@ grid is scheduled on a bounded thread pool; every work item derives its own
 generator from the master seed and the reduction runs in index order, so
 outputs are byte-identical for any worker count.
 
+The randomized-measurement round (a Haar unitary per qubit, then the
+measurement chain) lives here, and the library's
+``run_randomized_measurements`` is that round without noise. It calls its
+stages through this module's names, which ``benchmark/bench_trace.py`` wraps
+to time them; ``randmeas`` keeps the estimators.
+
 Output files (per enabled quantity):
-  entropy.csv   t,raw,mitigated,oracle,sigma,flags
-  twist.csv     t,re_raw,im_raw,re_post,im_post,re_exact,im_exact
-  berry.csv     t,gamma_raw,gamma_post,gamma_exact,flags
-  manifest.txt  resolved configuration, re-parseable as a config file
-  shots/        optional persisted shot tables, one file per time point
+  <quantity>.csv  entropy, twist, berry; columns in ``TABLE_HEADERS``
+  manifest.txt    resolved configuration, re-parseable as a config file,
+                  written last
+  shots/          optional persisted shot tables, one file per time point
 
 Numbers are written with 12 significant digits; missing values are explicit
 ``nan`` sentinels accompanied by a flag token where a flags column exists.
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +68,12 @@ from .randmeas import (
     purity_statistic,
     renyi2,
     rotate_state,
+    round_average,
     sample_haar_unitary,
 )
 from .state import (
+    MAX_QUBITS,
+    QuantumState,
     counts_from_outcomes,
     index_to_bits,
     probabilities,
@@ -77,38 +84,12 @@ from .state import (
 ENTROPY_STREAM = 0
 TWIST_STREAM = 1
 
-
-@dataclass
-class TimeSeriesPoint:
-    """One fully processed grid point of the entropy series."""
-
-    t: float
-    raw: float
-    mitigated: float
-    oracle: float
-    sigma: float
-    flags: tuple[str, ...] = ()
-    p_tot_true: float = 0.0
-    p_tot_estimated: float = float("nan")
-    raw_plugin: float = float("nan")
-    raw_unbiased: float = float("nan")
-
-
-@dataclass
-class TwistRow:
-    t: float
-    z_raw: complex
-    z_post: complex
-    z_exact: complex
-
-
-@dataclass
-class BerryRow:
-    t: float
-    gamma_raw: float
-    gamma_post: float
-    gamma_exact: float
-    flags: tuple[str, ...] = ()
+# CSV header of each quantity's table, in the order the tables are written
+TABLE_HEADERS = {
+    "entropy": ("t", "raw", "mitigated", "oracle", "sigma", "flags"),
+    "twist": ("t", "re_raw", "im_raw", "re_post", "im_post", "re_exact", "im_exact"),
+    "berry": ("t", "gamma_raw", "gamma_post", "gamma_exact", "flags"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -185,104 +166,99 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     layers_total = layer_count(
         prep.then(evolution_circuit(spec.times[0], spec.num_sites, spec.boundary))
     )
-    layers_prep = layer_count(prep)
     p_tot_true = effective_p_tot(spec.noise.p_layer, layers_total)
 
-    entropy_rows: list[TimeSeriesPoint] = []
-    twist_rows: list[TwistRow] = []
-    berry_rows: list[BerryRow] = []
+    tables: dict[str, list[tuple]] = {}
     shot_files: dict[str, str] = {}
-
     if "entropy" in opts.quantities:
-        entropy_rows = _entropy_series(
+        tables["entropy"] = _entropy_series(
             spec, opts, states, subset, p_tot_true, shot_files, quiet
         )
     if "twist" in opts.quantities or "berry" in opts.quantities:
-        twist_rows, berry_rows = _twist_series(
+        tables["twist"], tables["berry"] = _twist_series(
             spec, opts, states, initial_state, p_tot_true, shot_files
         )
 
-    if "entropy" in opts.quantities:
-        _write_table(
-            out_dir / "entropy.csv",
-            ("t", "raw", "mitigated", "oracle", "sigma", "flags"),
-            (
-                (r.t, r.raw, r.mitigated, r.oracle, r.sigma, r.flags)
-                for r in entropy_rows
-            ),
-        )
-    if "twist" in opts.quantities:
-        _write_table(
-            out_dir / "twist.csv",
-            ("t", "re_raw", "im_raw", "re_post", "im_post", "re_exact", "im_exact"),
-            (
-                (r.t, r.z_raw.real, r.z_raw.imag, r.z_post.real, r.z_post.imag,
-                 r.z_exact.real, r.z_exact.imag)
-                for r in twist_rows
-            ),
-        )
-    if "berry" in opts.quantities:
-        _write_table(
-            out_dir / "berry.csv",
-            ("t", "gamma_raw", "gamma_post", "gamma_exact", "flags"),
-            (
-                (r.t, r.gamma_raw, r.gamma_post, r.gamma_exact, r.flags)
-                for r in berry_rows
-            ),
-        )
+    for name, header in TABLE_HEADERS.items():
+        if name in opts.quantities:
+            _write_table(out_dir / f"{name}.csv", header, tables[name])
     if opts.save_shots and shot_files:
         shots_dir = out_dir / "shots"
         shots_dir.mkdir(exist_ok=True)
         for name, text in shot_files.items():
             (shots_dir / name).write_text(text)
 
-    _write_manifest(
-        out_dir / "manifest.txt",
-        config,
-        subset,
-        layers_prep=layers_prep,
-        layers_total=layers_total,
-        p_tot_true=p_tot_true,
+    comments = [
+        f"version = {__version__}",
+        f"subsystem_qubits_0based = {','.join(str(q) for q in subset)}",
+        f"layers_prep = {layer_count(prep)}",
+        f"layers_total = {layers_total}",
+        f"p_tot_true = {_fmt(p_tot_true)}",
+    ]
+    (out_dir / "manifest.txt").write_text(
+        "# sshquench run manifest: resolved configuration, re-runnable\n"
+        + format_config(config)
+        + "".join(f"# {line}\n" for line in comments)
     )
     return out_dir
 
 
-def _measure(state, spec, p_tot_true, rng, unitaries=()) -> np.ndarray:
+def _measure(state, num_shots, p_tot, readout_flip, rng, unitaries=()) -> np.ndarray:
     """The one measurement chain: rotate, depolarize, sample, flip, count."""
     dist = probabilities(rotate_state(state, unitaries) if unitaries else state)
-    if p_tot_true > 0.0:
-        dist = apply_depolarizing(dist, p_tot_true)
-    outcomes = sample_outcomes(dist, spec.num_shots, rng)
-    if spec.noise.readout_flip > 0.0:
-        outcomes = flip_outcomes(outcomes, spec.num_sites, spec.noise.readout_flip, rng)
-    return counts_from_outcomes(outcomes, spec.num_sites)
+    if p_tot > 0.0:
+        dist = apply_depolarizing(dist, p_tot)
+    outcomes = sample_outcomes(dist, num_shots, rng)
+    if readout_flip > 0.0:
+        outcomes = flip_outcomes(outcomes, state.num_qubits, readout_flip, rng)
+    return counts_from_outcomes(outcomes, state.num_qubits)
+
+
+def _random_round(
+    state, unitary_index, num_shots, rng, p_tot=0.0, readout_flip=0.0
+) -> ShotTable:
+    """One randomized-measurement round: a Haar unitary per qubit, then ``_measure``."""
+    unitaries = tuple(sample_haar_unitary(rng) for _ in range(state.num_qubits))
+    counts = _measure(state, num_shots, p_tot, readout_flip, rng, unitaries)
+    return ShotTable(unitary_index, state.num_qubits, num_shots, counts, unitaries)
+
+
+def run_randomized_measurements(
+    state: QuantumState,
+    num_unitaries: int,
+    num_shots: int,
+    rng: np.random.Generator,
+) -> list[ShotTable]:
+    """Collect ``num_unitaries`` shot tables; deterministic for a fixed rng.
+
+    The runner's round, noiseless, for rounds 1..num_unitaries, all drawing
+    from ``rng`` in turn.
+    """
+    if num_unitaries < 1:
+        raise ValueError("num_unitaries must be >= 1")
+    return [
+        _random_round(state, u, num_shots, rng) for u in range(1, num_unitaries + 1)
+    ]
 
 
 def _entropy_series(
     spec, opts, states, subset, p_tot_true, shot_files, quiet
-) -> list[TimeSeriesPoint]:
-    mitigate_on = opts.mitigation_enabled(spec.noise) and not opts.exact_probabilities
-    rows: list[TimeSeriesPoint] = []
-
+) -> list[tuple]:
+    """Rows of ``entropy.csv``; fills ``shot_files`` when shots are saved."""
     if opts.exact_probabilities:
-        for t, state in zip(spec.times, states):
-            s_exact = renyi2(purity(state, subset))
-            oracle = _oracle_entropy(spec, opts.subsystem, subset, state, t)
-            rows.append(
-                TimeSeriesPoint(
-                    t=t,
-                    raw=s_exact,
-                    mitigated=float("nan"),
-                    oracle=oracle,
-                    sigma=0.0,
-                    flags=("exact_mode", "no_mitigation"),
-                    p_tot_true=0.0,
-                    raw_plugin=s_exact,
-                    raw_unbiased=s_exact,
-                )
+        return [
+            (
+                t,
+                renyi2(purity(state, subset)),
+                float("nan"),
+                _oracle_entropy(spec, opts.subsystem, subset, state, t),
+                0.0,
+                ("exact_mode", "no_mitigation"),
             )
-        return rows
+            for t, state in zip(spec.times, states)
+        ]
 
+    mitigate_on = opts.mitigation_enabled(spec.noise)
     full = tuple(range(spec.num_sites))
     tasks = [
         (t_idx, u) for t_idx in range(len(spec.times)) for u in range(1, spec.num_unitaries + 1)
@@ -290,54 +266,43 @@ def _entropy_series(
 
     def one_round(t_idx: int, u: int):
         rng = child_generator(spec.seed, ENTROPY_STREAM, t_idx, u)
-        unitaries = tuple(sample_haar_unitary(rng) for _ in range(spec.num_sites))
-        counts = _measure(states[t_idx], spec, p_tot_true, rng, unitaries)
-        table = ShotTable(u, spec.num_sites, spec.num_shots, counts, unitaries)
+        table = _random_round(
+            states[t_idx], u, spec.num_shots, rng, p_tot_true, spec.noise.readout_flip
+        )
         sub_vec = marginal_counts(table, subset)
         x_unbiased = purity_statistic(sub_vec, spec.num_shots, "unbiased")
         x_plugin = purity_statistic(sub_vec, spec.num_shots, "plugin")
-        x_full = (
-            purity_statistic(
+        x_full = float("nan")
+        if mitigate_on:
+            x_full = purity_statistic(
                 marginal_counts(table, full), spec.num_shots, opts.estimator
             )
-            if mitigate_on
-            else float("nan")
-        )
-        shots = _nonzero(counts) if opts.save_shots else None
+        shots = _nonzero(table.counts) if opts.save_shots else None
         return x_unbiased, x_plugin, x_full, shots
 
     results = _parallel_map(one_round, tasks, opts.threads)
 
+    rows: list[tuple] = []
     for t_idx, t in enumerate(spec.times):
         chunk = results[t_idx * spec.num_unitaries : (t_idx + 1) * spec.num_unitaries]
-        x_unb = np.array([r[0] for r in chunk])
-        x_plg = np.array([r[1] for r in chunk])
-        x_chosen = x_unb if opts.estimator == "unbiased" else x_plg
-        purity_est = float(np.mean(x_chosen))
-        sigma_purity = (
-            float(np.std(x_chosen, ddof=1) / np.sqrt(len(x_chosen)))
-            if len(x_chosen) > 1
-            else float("nan")
-        )
-        raw = renyi2(purity_est)
+        unbiased = round_average([r[0] for r in chunk])
+        plugin = round_average([r[1] for r in chunk])
+        est = unbiased if opts.estimator == "unbiased" else plugin
+        raw = renyi2(est.value)
         sigma = (
-            sigma_purity / (purity_est * np.log(2.0))
-            if purity_est > 0.0
-            else float("nan")
+            est.sigma / (est.value * np.log(2.0)) if est.value > 0.0 else float("nan")
         )
         flags: list[str] = []
         if np.isnan(raw):
             flags.append("raw_nonpositive_purity")
 
         mitigated = float("nan")
-        p_est = float("nan")
         if mitigate_on:
             full_purity = float(np.mean([r[2] for r in chunk]))
             p_fit = estimate_p_tot_from_full_purity(full_purity, spec.num_sites)
-            p_est = p_fit.value
             if p_fit.clamped:
                 flags.append("p_tot_clamped")
-            fixed = mitigate_purity(purity_est, p_est, len(subset))
+            fixed = mitigate_purity(est.value, p_fit.value, len(subset))
             if fixed.clamped:
                 flags.append("mitigated_clamped")
             mitigated = renyi2(fixed.value)
@@ -345,89 +310,84 @@ def _entropy_series(
             flags.append("no_mitigation")
 
         oracle = _oracle_entropy(spec, opts.subsystem, subset, states[t_idx], t)
-        rows.append(
-            TimeSeriesPoint(
-                t=t,
-                raw=raw,
-                mitigated=mitigated,
-                oracle=oracle,
-                sigma=float(sigma),
-                flags=tuple(flags),
-                p_tot_true=p_tot_true,
-                p_tot_estimated=p_est,
-                raw_plugin=renyi2(float(np.mean(x_plg))),
-                raw_unbiased=renyi2(float(np.mean(x_unb))),
-            )
-        )
+        rows.append((t, raw, mitigated, oracle, float(sigma), tuple(flags)))
         if opts.save_shots:
             shot_files[f"entropy_t{t_idx:04d}.txt"] = _shot_file(
                 spec, spec.num_unitaries, enumerate((r[3] for r in chunk), start=1)
             )
         if not quiet:
             print(
-                f"t={t: .6f}  S_unbiased={rows[-1].raw_unbiased: .4f}  "
-                f"S_plugin={rows[-1].raw_plugin: .4f}  oracle={oracle: .4f}"
+                f"t={t: .6f}  S_unbiased={renyi2(unbiased.value): .4f}  "
+                f"S_plugin={renyi2(plugin.value): .4f}  oracle={oracle: .4f}"
             )
 
     if opts.shift_mode != "none":
-        base = np.array([r.mitigated if mitigate_on else r.raw for r in rows])
+        # the mitigated column holds the shifted mitigated series, or the
+        # shifted raw series when mitigation is off
+        base = np.array([row[2] if mitigate_on else row[1] for row in rows])
         aligned, _offset = shift_align(base, opts.shift_mode)
-        for r, v in zip(rows, aligned):
-            r.mitigated = float(v)
-            r.flags += ("shifted",)
+        rows = [
+            (t, raw, float(v), oracle, sigma, flags + ("shifted",))
+            for (t, raw, _m, oracle, sigma, flags), v in zip(rows, aligned)
+        ]
     return rows
 
 
 def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
+    """Rows of ``twist.csv`` and ``berry.csv``; fills ``shot_files`` when saved.
+
+    With exact probabilities the raw and postselected columns repeat the
+    exact ones.
+    """
     reference = gauge_reference(initial_state)
-    twist_rows: list[TwistRow] = []
-    berry_rows: list[BerryRow] = []
+    twist_rows: list[tuple] = []
+    berry_rows: list[tuple] = []
 
     for t_idx, (t, state) in enumerate(zip(spec.times, states)):
         z_exact = exact_twist(state, q=1, kind="spin").z
         exact_point = berry_phase(exact_twist(state, q=2, kind="particle"), reference)
         gamma_exact = exact_point.gamma
-        exact_flags = () if exact_point.reliable else ("exact_unreliable",)
+        flags = [] if exact_point.reliable else ["exact_unreliable"]
 
         if opts.exact_probabilities:
-            twist_rows.append(TwistRow(t, z_exact, z_exact, z_exact))
-            berry_rows.append(
-                BerryRow(t, gamma_exact, gamma_exact, gamma_exact, exact_flags)
-            )
-            continue
-
-        rng = child_generator(spec.seed, TWIST_STREAM, t_idx)
-        keys, vals = _nonzero(_measure(state, spec, p_tot_true, rng))
-        counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
-        kept = postselect_half_filling(counts, spec.num_sites)
-
-        flags: list[str] = list(exact_flags)
-        z_raw_res = twist_order_parameter(counts, spec.num_sites, q=1)
-        zn_raw_res = particle_twist_amplitude(counts, spec.num_sites, q=2)
-        raw_point = berry_phase(zn_raw_res, reference)
-        if not raw_point.reliable:
-            flags.append("raw_unreliable")
-        if kept:
-            z_post = twist_order_parameter(kept, spec.num_sites, q=1).z
-            post_point = berry_phase(
-                particle_twist_amplitude(kept, spec.num_sites, q=2), reference
-            )
-            gamma_post = post_point.gamma
-            if not post_point.reliable:
-                flags.append("post_unreliable")
+            z_raw = z_post = z_exact
+            gamma_raw = gamma_post = gamma_exact
         else:
-            z_post = complex(float("nan"), float("nan"))
-            gamma_post = float("nan")
-            flags.append("post_empty")
-
-        twist_rows.append(TwistRow(t, z_raw_res.z, z_post, z_exact))
-        berry_rows.append(
-            BerryRow(t, raw_point.gamma, gamma_post, gamma_exact, tuple(flags))
-        )
-        if opts.save_shots:
-            shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(
-                spec, 1, [(0, (keys, vals))]
+            rng = child_generator(spec.seed, TWIST_STREAM, t_idx)
+            keys, vals = _nonzero(
+                _measure(state, spec.num_shots, p_tot_true, spec.noise.readout_flip, rng)
             )
+            counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
+            kept = postselect_half_filling(counts, spec.num_sites)
+
+            z_raw = twist_order_parameter(counts, spec.num_sites, q=1).z
+            raw_point = berry_phase(
+                particle_twist_amplitude(counts, spec.num_sites, q=2), reference
+            )
+            gamma_raw = raw_point.gamma
+            if not raw_point.reliable:
+                flags.append("raw_unreliable")
+            if kept:
+                z_post = twist_order_parameter(kept, spec.num_sites, q=1).z
+                post_point = berry_phase(
+                    particle_twist_amplitude(kept, spec.num_sites, q=2), reference
+                )
+                gamma_post = post_point.gamma
+                if not post_point.reliable:
+                    flags.append("post_unreliable")
+            else:
+                z_post = complex(float("nan"), float("nan"))
+                gamma_post = float("nan")
+                flags.append("post_empty")
+            if opts.save_shots:
+                shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(
+                    spec, 1, [(0, (keys, vals))]
+                )
+
+        twist_rows.append(
+            (t, z_raw.real, z_raw.imag, z_post.real, z_post.imag, z_exact.real, z_exact.imag)
+        )
+        berry_rows.append((t, gamma_raw, gamma_post, gamma_exact, tuple(flags)))
     return twist_rows, berry_rows
 
 
@@ -460,23 +420,6 @@ def _write_table(path: Path, header, rows) -> None:
             w.writerow([";".join(x) if isinstance(x, tuple) else _fmt(x) for x in row])
 
 
-def _write_manifest(
-    path: Path, config: ExperimentConfig, subset, layers_prep, layers_total, p_tot_true
-) -> None:
-    comments = [
-        f"version = {__version__}",
-        f"subsystem_qubits_0based = {','.join(str(q) for q in subset)}",
-        f"layers_prep = {layers_prep}",
-        f"layers_total = {layers_total}",
-        f"p_tot_true = {_fmt(p_tot_true)}",
-    ]
-    path.write_text(
-        "# sshquench run manifest: resolved configuration, re-runnable\n"
-        + format_config(config)
-        + "".join(f"# {line}\n" for line in comments)
-    )
-
-
 def read_shot_tables(path: str | Path) -> list[ShotTable]:
     """Load the line-oriented shot-table format written by ``save_shots``."""
     lines = Path(path).read_text().splitlines()
@@ -493,6 +436,10 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
             f"{path}:1: expected a header with integer L=, N_U= and N_M=, "
             f"got {lines[0]!r}"
         ) from None
+    if not (1 <= num_qubits <= MAX_QUBITS and num_rounds >= 1):
+        raise ValueError(
+            f"{path}:1: expected 1 <= L <= {MAX_QUBITS} and N_U >= 1, got {lines[0]!r}"
+        )
     grouped: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
@@ -510,8 +457,7 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
                 f"{path}:{lineno}: expected 'round bits count' with {num_qubits} "
                 f"bits of 0/1 and a positive count, got {line!r}"
             )
-        u_str, bits, count = fields
-        u = int(u_str)
+        u, bits, count = int(fields[0]), fields[1], int(fields[2])
         # rounds 1..N_U; a twist file holds the single identity round 0
         if not (1 <= u <= num_rounds or (u == 0 and num_rounds == 1)):
             raise ValueError(f"{path}:{lineno}: round {u} outside 1..N_U={num_rounds}")
@@ -519,26 +465,30 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
             grouped[u] = np.zeros(1 << num_qubits, dtype=np.int64)
         if grouped[u][int(bits, 2)]:
             raise ValueError(f"{path}:{lineno}: repeated round {u} bitstring {bits}")
-        grouped[u][int(bits, 2)] = int(count)
+        grouped[u][int(bits, 2)] = count
     if len(grouped) != num_rounds:
         raise ValueError(
             f"{path}:1: header N_U={num_rounds} but rounds {sorted(grouped)} found"
         )
-    return [
-        ShotTable(u, num_qubits, num_shots, counts)
-        for u, counts in sorted(grouped.items())
-    ]
+    tables = []
+    for u, counts in sorted(grouped.items()):
+        total = int(counts.sum())
+        if total != num_shots:
+            raise ValueError(
+                f"{path}:1: header N_M={num_shots} but round {u} counts sum to {total}"
+            )
+        tables.append(ShotTable(u, num_qubits, num_shots, counts))
+    return tables
 
 
 def _read_csv_columns(path: Path) -> dict[str, list[str]]:
     with path.open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols: dict[str, list[str]] = {h: [] for h in header}
-        for row in reader:
-            for h, v in zip(header, row):
-                cols[h].append(v)
-    return cols
+        header, *rows = csv.reader(fh)
+    return {h: [row[i] for row in rows] for i, h in enumerate(header)}
+
+
+def _floats(column: list[str]) -> np.ndarray:
+    return np.array([float(x) for x in column])
 
 
 def _series_stats(est: np.ndarray, ref: np.ndarray, circular: bool = False):
@@ -560,69 +510,58 @@ def compare_report(out_dir: str | Path) -> str:
     """Per-series deviation statistics against the oracle columns.
 
     Returns the summary text and writes it to ``summary.txt`` in the run
-    directory. Raises FileNotFoundError when no known CSV is present.
+    directory. Raises FileNotFoundError when ``manifest.txt``, which a run
+    writes last, or every known CSV is missing.
     """
     out_dir = Path(out_dir)
+    manifest = out_dir / "manifest.txt"
+    if not manifest.is_file():
+        raise FileNotFoundError(f"{manifest} not found: not a complete run directory")
+    tables = {
+        name: _read_csv_columns(out_dir / f"{name}.csv")
+        for name in TABLE_HEADERS
+        if (out_dir / f"{name}.csv").exists()
+    }
+    if not tables:
+        raise FileNotFoundError(f"no entropy/twist/berry CSV found in {out_dir}")
     lines: list[str] = [f"comparison report for {out_dir}"]
-    found = False
 
-    entropy_path = out_dir / "entropy.csv"
-    if entropy_path.exists():
-        found = True
-        cols = _read_csv_columns(entropy_path)
-        oracle = np.array([float(x) for x in cols["oracle"]])
+    if "entropy" in tables:
+        cols = tables["entropy"]
         for series in ("raw", "mitigated"):
-            vals = np.array([float(x) for x in cols[series]])
-            rms, peak, n = _series_stats(vals, oracle)
+            rms, peak, n = _series_stats(_floats(cols[series]), _floats(cols["oracle"]))
             lines.append(
                 f"entropy {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}"
             )
 
-    twist_path = out_dir / "twist.csv"
-    if twist_path.exists():
-        found = True
-        cols = _read_csv_columns(twist_path)
-        z_exact = np.array(
-            [complex(float(a), float(b)) for a, b in zip(cols["re_exact"], cols["im_exact"])]
-        )
+    if "twist" in tables:
+        cols = tables["twist"]
+        z = {
+            series: _floats(cols[f"re_{series}"]) + 1j * _floats(cols[f"im_{series}"])
+            for series in ("raw", "post", "exact")
+        }
         for series in ("raw", "post"):
-            z = np.array(
-                [
-                    complex(float(a), float(b))
-                    for a, b in zip(cols[f"re_{series}"], cols[f"im_{series}"])
-                ]
-            )
-            rms, peak, n = _series_stats(z, z_exact)
+            rms, peak, n = _series_stats(z[series], z["exact"])
             if n:
                 lines.append(
                     f"twist {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}"
                 )
 
-    berry_path = out_dir / "berry.csv"
-    if berry_path.exists():
-        found = True
-        cols = _read_csv_columns(berry_path)
-        gamma_exact = np.array([float(x) for x in cols["gamma_exact"]])
-        flags = [set(f.split(";")) if f else set() for f in cols["flags"]]
-        bad = {
-            "gamma_raw": ("raw_unreliable", "exact_unreliable"),
-            "gamma_post": ("post_unreliable", "post_empty", "exact_unreliable"),
-        }
-        for series in ("gamma_raw", "gamma_post"):
-            vals = np.array(
-                [
-                    float(x) if not (row & set(bad[series])) else float("nan")
-                    for x, row in zip(cols[series], flags)
-                ]
-            )
-            rms, peak, n = _series_stats(vals, gamma_exact, circular=True)
+    if "berry" in tables:
+        cols = tables["berry"]
+        flags = [set(f.split(";")) for f in cols["flags"]]
+        for series, bad in (
+            ("gamma_raw", {"raw_unreliable", "exact_unreliable"}),
+            ("gamma_post", {"post_unreliable", "post_empty", "exact_unreliable"}),
+        ):
+            kept = np.array([not (row & bad) for row in flags], dtype=bool)
+            vals = np.where(kept, _floats(cols[series]), np.nan)
+            rms, peak, n = _series_stats(vals, _floats(cols["gamma_exact"]), circular=True)
             lines.append(
                 f"berry {series}: rms={_fmt(rms)} max={_fmt(peak)} "
                 f"points={n} (unreliable rows excluded)"
             )
 
-    if not found:
-        raise FileNotFoundError(f"no entropy/twist/berry CSV found in {out_dir}")
     text = "\n".join(lines) + "\n"
     (out_dir / "summary.txt").write_text(text)
     return text

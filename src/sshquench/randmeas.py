@@ -2,7 +2,9 @@
 
 Protocol per random-unitary round: rotate the state by a product of
 independently Haar-sampled single-qubit unitaries, measure in the
-computational basis, and keep the outcome counts. Subsystem purity is then
+computational basis, and keep the outcome counts. The round itself, shared
+by the runner and ``run_randomized_measurements``, lives in ``experiment``;
+this module holds its parts and the estimators. Subsystem purity is then
 recovered from the Hamming-distance pair kernel
 
     Tr[rho_I^2] = 2^{N_I} * avg_U sum_{s,s'} (-2)^(-D[s,s']) P(s) P(s')
@@ -32,14 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .state import (
-    Gate1Q,
-    QuantumState,
-    _validated_subset,
-    apply_gate,
-    probabilities,
-    sample_shots,
-)
+from .state import Gate1Q, QuantumState, _validated_subset, apply_gate
 
 
 def child_generator(master_seed: int, *key: int) -> np.random.Generator:
@@ -93,27 +88,6 @@ def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> Quantu
     for q, u in enumerate(unitaries):
         state = apply_gate(state, Gate1Q(u, q, name="RAND"))
     return state
-
-
-def run_randomized_measurements(
-    state: QuantumState,
-    num_unitaries: int,
-    num_shots: int,
-    rng: np.random.Generator,
-) -> list[ShotTable]:
-    """Collect ``num_unitaries`` shot tables; deterministic for a fixed rng.
-
-    Each round draws one unitary per qubit, then samples the rotated state.
-    """
-    if num_unitaries < 1:
-        raise ValueError("num_unitaries must be >= 1")
-    tables = []
-    for u in range(1, num_unitaries + 1):
-        unitaries = tuple(sample_haar_unitary(rng) for _ in range(state.num_qubits))
-        dist = probabilities(rotate_state(state, unitaries))
-        counts = sample_shots(dist, num_shots, rng)
-        tables.append(ShotTable(u, state.num_qubits, num_shots, counts, unitaries))
-    return tables
 
 
 def _kernel_transform(vec: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -177,6 +151,17 @@ class PurityEstimate:
     sigma: float  # standard error of the round average; nan for one round
 
 
+def round_average(stats: Sequence[float]) -> PurityEstimate:
+    """Mean of per-round statistics and its standard error (nan for one round)."""
+    stats = np.asarray(stats, dtype=float)
+    sigma = (
+        float(np.std(stats, ddof=1) / np.sqrt(len(stats)))
+        if len(stats) > 1
+        else float("nan")
+    )
+    return PurityEstimate(float(np.mean(stats)), sigma)
+
+
 def estimate_purity(
     tables: Iterable[ShotTable], subset: Sequence[int], variant: str = "unbiased"
 ) -> PurityEstimate:
@@ -190,15 +175,9 @@ def estimate_purity(
     for tb in tables:
         if tb.num_qubits != n or tb.num_shots != shots:
             raise ValueError("tables disagree on qubit count or shot budget")
-    stats = np.array(
+    return round_average(
         [purity_statistic(marginal_counts(tb, sub), shots, variant) for tb in tables]
     )
-    sigma = (
-        float(np.std(stats, ddof=1) / np.sqrt(len(stats)))
-        if len(stats) > 1
-        else float("nan")
-    )
-    return PurityEstimate(float(np.mean(stats)), sigma)
 
 
 def renyi2(purity_value: float) -> float:

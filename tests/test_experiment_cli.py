@@ -168,6 +168,10 @@ class TestRunOutputs:
             "# L=x N_U=1 N_M=3 seed=1",  # non-integer L
             "# L=4 N_M=3 seed=1",  # no N_U
             "# L=4 N_U=2 N_M=3 seed=1",  # round 2 missing, e.g. a cut-off file
+            "# L=64 N_U=1 N_M=3 seed=1",  # L above the dense cap
+            "# L=0 N_U=1 N_M=3 seed=1",  # no qubits
+            "# L=4 N_U=0 N_M=3 seed=1",  # no rounds
+            "# L=4 N_U=1 N_M=4 seed=1",  # round 1 sums to 3 shots, not N_M
         ],
     )
     def test_read_shot_tables_rejects_malformed_header(self, tmp_path, header):
@@ -256,6 +260,16 @@ class TestReport:
 
     def test_report_missing_dir(self, tmp_path):
         assert main(["report", str(tmp_path / "nowhere")]) == 2
+
+    def test_report_refuses_run_without_manifest(self, tmp_path, capsys):
+        conf = _write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        (out / "manifest.txt").unlink()
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "manifest.txt" in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
 
     def test_exact_mode_report_rms(self, tmp_path):
         conf = _write_config(tmp_path, SMALL)

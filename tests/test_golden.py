@@ -3,7 +3,9 @@
 Each config is run end to end and every CSV plus ``manifest.txt`` is
 compared by SHA-256 against the digests recorded below, together with the
 saved shot files and the ``compare_report`` summary (without its first line,
-which names the run directory) where a config produces them. A refactor that
+which names the run directory) where a config produces them. The library's
+``run_randomized_measurements`` is pinned the same way: ``LIBRARY_GOLDEN``
+digests its shot tables, unitaries and purity estimate. A refactor that
 claims to keep outputs unchanged must keep these digests; an intentional
 change of output (a re-keyed random stream, a new column) re-records them
 once and says why in CHANGES.md.
@@ -17,8 +19,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sshquench import (
+    child_generator,
+    estimate_purity,
+    quench_circuit,
+    run_randomized_measurements,
+)
 from sshquench.experiment import compare_report, run_experiment
 
 CONFIGS = {
@@ -74,10 +83,44 @@ shift_mode = valley_to_zero
 save_shots = true
 seed = 14
 """,
+    # the exact-probabilities branch of every series, on an explicit subsystem
+    "exact_all_quantities": """\
+L = 8
+initial = singlet
+boundary = obc
+t_max = 1.5707963267948966
+t_points = 4
+quantities = entropy,twist,berry
+subsystem = 2,3,5
+exact_probabilities = true
+seed = 15
+""",
+    # plug-in estimator, noise without mitigation, a shift and two threads
+    "plugin_shifted_threads": """\
+L = 8
+initial = neel
+boundary = pbc
+t_max = 1.5707963267948966
+t_points = 4
+quantities = entropy
+subsystem = 1,4,6
+n_unitaries = 6
+n_shots = 128
+estimator = plugin
+p_layer = 0.02
+mitigate = off
+shift_mode = zero_at_t0
+save_shots = true
+threads = 2
+seed = 16
+""",
 }
 
 # configs whose comparison report is digested too
-REPORTED = ("writers_full",)
+REPORTED = (
+    "writers_full",
+    "exact_all_quantities", "plugin_shifted_threads",
+)
 
 GOLDEN = {
     # The manifests of noiseless_entropy and twist_berry_readout were
@@ -118,6 +161,22 @@ GOLDEN = {
         "shots/twist_t0004.txt": "6dca1eb092f20ffa1368fa827ab7ed1eb79122013807f8cdd5a4e22e4c735718",
         "summary.txt": "1348a86a1521cda5a2eacd352355a4e7e011000c1ab8d5992c2be6a7290e03d0",
     },
+    "exact_all_quantities": {
+        "berry.csv": "8c1385a9d4e9e3746806a3d30ede3f04e03bade95aca216db00f5f84382ea92c",
+        "entropy.csv": "f17b1f00e5c78d4a1a1862479b73e9d77d2e78ddfb047f020ff9e563233c51ca",
+        "twist.csv": "00f9cedd865753e1b6d98813cbc043759cd5847a4a1584aeffb750d606fb898e",
+        "manifest.txt": "3d29026338e706cc3503b99cd2e6acbcf96aff68e7c34e78906a83778b1b61d8",
+        "summary.txt": "22dc0ada20dfbbe406b89c8b4fd94255633a8489fbd3691dbe077ba4d10f26e9",
+    },
+    "plugin_shifted_threads": {
+        "entropy.csv": "0c75cde8bbc1c9bf35d8f215c8ba39ed7f5e9cc23c3b8e4a9e16882c122ef128",
+        "manifest.txt": "ac772712d98e4391dddf85751d23a2999fe46ac88f108241500913c6372e9275",
+        "shots/entropy_t0000.txt": "ff191bd3f4c276f11384c8fe8f138731cab3ceebc8cc8ec255b5d2b627e7b0bc",
+        "shots/entropy_t0001.txt": "416a7fb0630622fa9f0bec11b9596045ce9eed1b2f06893a4e5f76aa97bfbc77",
+        "shots/entropy_t0002.txt": "b4188a2411af69b333fb0360d52d0e59d89a2e3697f7a17356baefad10a1f694",
+        "shots/entropy_t0003.txt": "f2e1bfe2ff31dd95db116a28a463529e839aedbbabbdaf2b2011cc718bdaef50",
+        "summary.txt": "3dce839d6aae62653e317e44297c6893b1fb53c3f229f9de54e279dcdd90a17d",
+    },
 }
 
 
@@ -138,9 +197,44 @@ def run_digests(name: str, work: Path) -> dict[str, str]:
     return digests
 
 
+# library calls: (L, initial state) of a ring quenched to t = 0.3
+LIBRARY_CASES = {"neel_l4": (4, "neel"), "singlet_l8": (8, "singlet")}
+
+LIBRARY_GOLDEN = {
+    "neel_l4": "2d004cd8a29036c35555f2b85f0bf3a9b3cacbe3a26e694384fb7b23315817f1",
+    "singlet_l8": "35b4ccc3080f90099878b157ca7b73a0e106cfeff79d767ab1ed76c9d017b2f7",
+}
+
+
+def library_digest(name: str) -> str:
+    """SHA-256 of the library's shot tables and purity estimate for one case.
+
+    Covers every round's index, counts and unitaries, so a change in the
+    order in which ``run_randomized_measurements`` draws from its generator
+    changes the digest.
+    """
+    num_sites, initial = LIBRARY_CASES[name]
+    state = quench_circuit(0.3, num_sites, initial, "pbc").run()
+    tables = run_randomized_measurements(state, 6, 257, child_generator(7, 0))
+    h = hashlib.sha256()
+    for tb in tables:
+        h.update(np.int64(tb.unitary_index).tobytes())
+        h.update(np.asarray(tb.counts, dtype=np.int64).tobytes())
+        for u in tb.unitaries:
+            h.update(np.asarray(u, dtype=np.complex128).tobytes())
+    est = estimate_purity(tables, (0, 1))
+    h.update(repr((est.value, est.sigma)).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_library_stream_digest(name):
+    assert library_digest(name) == LIBRARY_GOLDEN[name]
 
 
 if __name__ == "__main__":
@@ -152,4 +246,7 @@ if __name__ == "__main__":
         for fname, digest in files.items():
             sys.stdout.write(f'        "{fname}": "{digest}",\n')
         sys.stdout.write("    },\n")
+    sys.stdout.write("}\n\nLIBRARY_GOLDEN = {\n")
+    for name in sorted(LIBRARY_CASES):
+        sys.stdout.write(f'    "{name}": "{library_digest(name)}",\n')
     sys.stdout.write("}\n")

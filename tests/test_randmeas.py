@@ -4,6 +4,7 @@ import pytest
 
 from conftest import hamming_distance, random_state_vector
 from sshquench.circuits import h_gate, cx_gate, quench_circuit
+from sshquench.experiment import run_randomized_measurements
 from sshquench.randmeas import (
     ShotTable,
     child_generator,
@@ -14,7 +15,6 @@ from sshquench.randmeas import (
     purity_statistic,
     renyi2,
     rotate_state,
-    run_randomized_measurements,
     sample_haar_unitary,
 )
 from sshquench.state import (
