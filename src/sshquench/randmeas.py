@@ -17,6 +17,14 @@ and subtracts the same-shot coincidence term, making each round an exact
 U-statistic. The pair kernel factorizes per qubit, so the quadratic form is
 evaluated in O(N_I 2^{N_I}) without materializing a 4^{N_I} kernel.
 
+Kernel axis order: the transform visits the qubit axes 0, 1, ..., N_I - 1,
+and each stage reads the axis it transforms as two contiguous halves and
+writes it out as the trailing axis. The visiting order matters: the stages
+commute in exact arithmetic but not in floating point. Integer count
+vectors are transformed exactly in any order, but the non-dyadic
+probabilities that ``purity_from_subset_distribution`` takes change in
+their last bits when the axes are walked in another order.
+
 Counts: a round keeps the integer vector of length 2^L that the multinomial
 draw returns (``ShotTable.counts``); a subsystem marginal is a reshape, a sum
 over the other qubits and a transpose into the listed order.
@@ -91,24 +99,37 @@ def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> Quantu
 
 
 def _kernel_transform(vec: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Apply the per-qubit pair kernel along every axis of ``vec``."""
-    out = np.asarray(vec, dtype=float)
-    for q in range(num_qubits):
-        v = out.reshape(1 << q, 2, -1)
-        out = np.empty_like(v)
-        out[:, 0, :] = v[:, 0, :] - 0.5 * v[:, 1, :]
-        out[:, 1, :] = -0.5 * v[:, 0, :] + v[:, 1, :]
+    """Apply the per-qubit pair kernel along every axis of ``vec``.
+
+    Each stage transforms the leading axis, reading it as two contiguous
+    halves, and writes the result as the trailing axis; after ``num_qubits``
+    stages every axis is back in place.
+    """
+    out = np.asarray(vec, dtype=float).reshape(-1)
+    for _ in range(num_qubits):
+        a, b = out.reshape(2, -1)
+        out = np.empty((a.size, 2))
+        np.subtract(a, 0.5 * b, out=out[:, 0])
+        np.add(-0.5 * a, b, out=out[:, 1])
         out = out.reshape(-1)
     return out
+
+
+def _index_qubits(vec: np.ndarray) -> int:
+    """n for a vector of length 2**n; ValueError for any other shape."""
+    n = int(vec.size).bit_length() - 1
+    if vec.ndim != 1 or n < 0 or vec.size != (1 << n):
+        raise ValueError(
+            "weights must be a vector whose length is a power of two, "
+            f"got shape {vec.shape}"
+        )
+    return n
 
 
 def hamming_pair_sum(weights: np.ndarray) -> float:
     """sum_{s,s'} (-2)^(-D[s,s']) w_s w_s' over all index pairs."""
     w = np.asarray(weights, dtype=float)
-    n = int(w.size).bit_length() - 1
-    if w.size != (1 << n):
-        raise ValueError("weight vector length must be a power of two")
-    return float(w @ _kernel_transform(w, n))
+    return float(w @ _kernel_transform(w, _index_qubits(w)))
 
 
 def marginal_counts(table: ShotTable, subset: Sequence[int]) -> np.ndarray:
@@ -124,23 +145,23 @@ def marginal_counts(table: ShotTable, subset: Sequence[int]) -> np.ndarray:
 
 def purity_statistic(count_vector: np.ndarray, num_shots: int, variant: str) -> float:
     """Per-round purity statistic from a subset count vector."""
-    n_i = int(count_vector.size).bit_length() - 1
+    if variant not in ("plugin", "unbiased"):
+        raise ValueError(f"variant must be 'plugin' or 'unbiased', got {variant!r}")
+    if num_shots < 1:
+        raise ValueError("num_shots must be >= 1")
+    if variant == "unbiased" and num_shots < 2:
+        raise ValueError("unbiased variant needs at least 2 shots")
+    scale = float(1 << _index_qubits(count_vector))
     quad = hamming_pair_sum(count_vector.astype(float))
-    scale = float(1 << n_i)
     if variant == "plugin":
         return scale * quad / (num_shots * num_shots)
-    if variant == "unbiased":
-        if num_shots < 2:
-            raise ValueError("unbiased variant needs at least 2 shots")
-        return scale * (quad - num_shots) / (num_shots * (num_shots - 1))
-    raise ValueError(f"variant must be 'plugin' or 'unbiased', got {variant!r}")
+    return scale * (quad - num_shots) / (num_shots * (num_shots - 1))
 
 
 def purity_from_subset_distribution(distribution: np.ndarray) -> float:
     """Infinite-shot statistic of a single round, from exact subset probabilities."""
     d = np.asarray(distribution, dtype=float)
-    n_i = int(d.size).bit_length() - 1
-    return float(1 << n_i) * hamming_pair_sum(d)
+    return float(1 << _index_qubits(d)) * hamming_pair_sum(d)
 
 
 @dataclass(frozen=True)

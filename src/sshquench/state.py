@@ -31,12 +31,18 @@ class CapacityError(ValueError):
     """Requested size exceeds what the dense representation supports."""
 
 
+# read-only identities of the gate dimensions, shared by every unitarity check
+_IDENTITY = {dim: np.eye(dim) for dim in (2, 4)}
+for _eye in _IDENTITY.values():
+    _eye.setflags(write=False)
+
+
 def _as_unitary(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
-    if defect > UNITARY_ATOL:
+    defect = np.abs(m.conj().T @ m - _IDENTITY[dim]).max()
+    if not defect <= UNITARY_ATOL:  # also rejects nan and inf entries
         raise ValueError(f"matrix is not unitary (deviation {defect:.2e})")
     m.setflags(write=False)
     return m
@@ -102,7 +108,7 @@ class QuantumState:
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude vector length must be 2**num_qubits")
         norm = np.vdot(amps, amps).real
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # also rejects nan and inf
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.2e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -190,9 +196,10 @@ def sample_shots(
     if num_shots < 1:
         raise ValueError("num_shots must be >= 1")
     p = np.asarray(distribution, dtype=float)
-    if abs(p.sum() - 1.0) > NORM_ATOL or np.any(p < -NORM_ATOL):
+    total = p.sum()
+    if not abs(total - 1.0) <= NORM_ATOL or np.any(p < -NORM_ATOL):
         raise ValueError("distribution entries must be nonnegative and sum to 1")
-    return rng.multinomial(num_shots, np.clip(p, 0.0, None) / p.sum())
+    return rng.multinomial(num_shots, np.clip(p, 0.0, None) / total)
 
 
 def sample_outcomes(

@@ -1,4 +1,9 @@
 """End-to-end runs through the experiment pipeline and the CLI."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -318,3 +323,18 @@ class TestCliErrors:
 
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.conf")]) == 2
+
+    def test_python_dash_m_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+        def exit_code(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "sshquench", *args],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                timeout=60,
+            ).returncode
+
+        assert exit_code("--help") == 0
+        assert exit_code("report", str(tmp_path / "nowhere")) == 2

@@ -1,12 +1,15 @@
 """Haar sampling, shot collection, and the purity estimator."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hamming_distance, random_state_vector
 from sshquench.circuits import h_gate, cx_gate, quench_circuit
 from sshquench.experiment import run_randomized_measurements
 from sshquench.randmeas import (
     ShotTable,
+    _kernel_transform,
     child_generator,
     estimate_purity,
     hamming_pair_sum,
@@ -29,6 +32,18 @@ from sshquench.state import (
 
 def _bell_state():
     return apply_gate(apply_gate(new_basis_state(2, "00"), h_gate(0)), cx_gate(0, 1))
+
+
+def _kernel_reference(vec: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Strided stage loop over axes 0..n-1, the form the kernel must match bitwise."""
+    out = np.asarray(vec, dtype=float)
+    for q in range(num_qubits):
+        v = out.reshape(1 << q, 2, -1)
+        out = np.empty_like(v)
+        out[:, 0, :] = v[:, 0, :] - 0.5 * v[:, 1, :]
+        out[:, 1, :] = -0.5 * v[:, 0, :] + v[:, 1, :]
+        out = out.reshape(-1)
+    return out
 
 
 class TestHaarSampling:
@@ -129,6 +144,46 @@ class TestKernel:
                 for sp in range(1 << n)
             )
             assert hamming_pair_sum(w) == pytest.approx(brute, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**31))
+    def test_transform_bitwise_equal_to_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 5000, size=1 << n)
+        reals = rng.random(1 << n) * 1e6 + 0.1  # non-dyadic: rounding shows
+        for vec in (counts, reals):
+            want = _kernel_reference(vec, n)
+            got = _kernel_transform(vec, n)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            hamming_pair_sum,
+            purity_from_subset_distribution,
+            lambda v: purity_statistic(v, 4, "plugin"),
+        ],
+        ids=["pair_sum", "distribution", "statistic"],
+    )
+    @pytest.mark.parametrize("shape", [0, 3, 6, (2, 2)])
+    def test_length_not_power_of_two_rejected(self, fn, shape):
+        with pytest.raises(ValueError, match="power of two"):
+            fn(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "num_shots, variant, message",
+        [
+            (4, "median", "variant must be"),
+            (1, "unbiased", "at least 2 shots"),
+            (0, "plugin", "num_shots must be"),
+        ],
+    )
+    def test_statistic_arguments_checked_before_transform(
+        self, num_shots, variant, message
+    ):
+        # the vector is malformed too: the argument error must come first
+        with pytest.raises(ValueError, match=message):
+            purity_statistic(np.zeros(3), num_shots, variant)
 
     def test_marginalization(self):
         counts = np.zeros(8, dtype=np.int64)

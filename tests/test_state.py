@@ -17,6 +17,7 @@ from sshquench.state import (
     Gate1Q,
     Gate2Q,
     QuantumState,
+    _IDENTITY,
     apply_gate,
     bits_to_index,
     counts_from_outcomes,
@@ -72,6 +73,11 @@ class TestBasisStates:
         with pytest.raises(ValueError):
             new_basis_state(2, "102")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            QuantumState(2, [bad, 0, 0, 0])
+
 
 class TestGates:
     def test_hadamard(self):
@@ -114,6 +120,20 @@ class TestGates:
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError):
             Gate2Q(np.eye(4), (1, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_matrix_rejected(self, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
+            Gate1Q([[bad, 0], [0, 1]], 0)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
+            Gate2Q(np.diag([bad, 1, 1, 1]), (0, 1))
+
+    def test_unitarity_identities_read_only(self):
+        assert sorted(_IDENTITY) == [2, 4]
+        for dim, eye in _IDENTITY.items():
+            np.testing.assert_array_equal(eye, np.eye(dim))
+            with pytest.raises(ValueError):
+                eye[0, 0] = 2.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -186,6 +206,12 @@ class TestProbabilitiesAndSampling:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_shots(np.array([0.5, 0.4]), 10, rng)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_distribution_rejected(self, bad):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="sum to 1"):
+            sample_shots(np.array([bad, 0.5, 0.5, 0.0]), 10, rng)
 
 
 class TestReductions:
