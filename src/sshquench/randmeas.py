@@ -37,6 +37,7 @@ worker count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -53,13 +54,30 @@ def child_generator(master_seed: int, *key: int) -> np.random.Generator:
 def sample_haar_unitary(rng: np.random.Generator) -> np.ndarray:
     """2x2 unitary from the circular unitary ensemble.
 
-    QR orthonormalization of a complex Gaussian matrix with the R diagonal
-    phase fixed, the standard Haar construction.
+    Draws a complex Gaussian matrix Z, real parts then imaginary parts, as
+    one ``standard_normal((2, 2, 2))`` call: the same eight numbers in the
+    same order as two ``(2, 2)`` calls. Gram-Schmidt on Z's columns gives
+    the Q of Z = QR with R's diagonal positive. The first column is Z's
+    first column normalized. The second is Z's second column projected onto
+    the orthogonal complement of the first, which in two dimensions is the
+    line through (-conj(q10), conj(q00)), and normalized.
+
+    Why this is Haar: that factorization is unique, and for any fixed
+    unitary V the matrix VZ has the law of Z and factors as (VQ)R, so VQ has
+    the law of Q (Mezzadri, Notices AMS 54, 592 (2007)). The result agrees
+    with a LAPACK QR of the same Z to about 1e-14 and is unitary to about
+    1e-15, without the cost of the LAPACK call.
     """
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))[None, :]
+    real, imag = rng.standard_normal((2, 2, 2)).tolist()
+    z00, z01 = complex(real[0][0], imag[0][0]), complex(real[0][1], imag[0][1])
+    z10, z11 = complex(real[1][0], imag[1][0]), complex(real[1][1], imag[1][1])
+    norm = math.sqrt(abs(z00) ** 2 + abs(z10) ** 2)
+    q00, q10 = z00 / norm, z10 / norm
+    overlap = q00 * z11 - q10 * z01  # <(-conj(q10), conj(q00)), Z's second column>
+    phase = overlap / abs(overlap)
+    return np.array(
+        [[q00, -q10.conjugate() * phase], [q10, q00.conjugate() * phase]]
+    )
 
 
 @dataclass(frozen=True, eq=False)

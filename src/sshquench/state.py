@@ -7,11 +7,22 @@ qubits is index 10. ``qubit_bits`` (reading bits out of indices) and
 ``pack_bits`` (its inverse) write this order down for index arrays; a count
 vector reshaped to (2,)*L has qubit q on axis q in the same order.
 
-Gates are applied with strided kernels over the amplitude vector; no
-2^L x 2^L operator matrix is ever materialized. States are treated as
-immutable values: ``apply_gate`` returns a fresh state, so a state may be
-shared freely between threads for read-only queries (probabilities, reduced
-density matrices) while mutation is expressed as replacement.
+Gates act on views of the amplitude vector; no 2^L x 2^L operator matrix
+is ever materialized. A one-qubit gate on qubit q views the vector as
+(2^q, 2, R) with R = 2^(L-q-1), the gate's axis in the middle, and picks
+one of two forms by the rule R >= 2^q:
+  - trailing block at least as long as the leading one: one ``np.matmul``
+    of the 2x2 matrix, broadcast over the leading axis;
+  - otherwise: two strided elementwise combinations of the two halves,
+    since matmul pays per leading index and the R-long rows are short.
+Each form is the faster one on its side, and the two agree to rounding. A
+two-qubit gate moves its two axes to the front and multiplies the
+(4, 2^(L-2)) view by its 4x4 matrix.
+
+States are treated as immutable values: ``apply_gate`` returns a fresh
+state, so a state may be shared freely between threads for read-only
+queries (probabilities, reduced density matrices) while mutation is
+expressed as replacement.
 """
 from __future__ import annotations
 
@@ -41,7 +52,8 @@ def _as_unitary(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    defect = np.abs(m.conj().T @ m - _IDENTITY[dim]).max()
+    with np.errstate(invalid="ignore", over="ignore"):  # nan and inf fail below
+        defect = np.abs(m.conj().T @ m - _IDENTITY[dim]).max()
     if not defect <= UNITARY_ATOL:  # also rejects nan and inf entries
         raise ValueError(f"matrix is not unitary (deviation {defect:.2e})")
     m.setflags(write=False)
@@ -167,6 +179,8 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
         psi = state.amplitudes.reshape(1 << q, 2, -1)
         u = gate.matrix
+        if psi.shape[2] >= psi.shape[0]:
+            return QuantumState(n, np.matmul(u, psi).reshape(-1))
         out = np.empty_like(psi)
         out[:, 0, :] = u[0, 0] * psi[:, 0, :] + u[0, 1] * psi[:, 1, :]
         out[:, 1, :] = u[1, 0] * psi[:, 0, :] + u[1, 1] * psi[:, 1, :]

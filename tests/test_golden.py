@@ -200,9 +200,13 @@ def run_digests(name: str, work: Path) -> dict[str, str]:
 # library calls: (L, initial state) of a ring quenched to t = 0.3
 LIBRARY_CASES = {"neel_l4": (4, "neel"), "singlet_l8": (8, "singlet")}
 
+# Re-recorded once when the Haar draw moved from a LAPACK QR to Gram-Schmidt
+# on the same normals: the unitaries changed in their last bits (about
+# 1e-14), while every round's counts and the (value, sigma) estimate stayed
+# the same.
 LIBRARY_GOLDEN = {
-    "neel_l4": "2d004cd8a29036c35555f2b85f0bf3a9b3cacbe3a26e694384fb7b23315817f1",
-    "singlet_l8": "35b4ccc3080f90099878b157ca7b73a0e106cfeff79d767ab1ed76c9d017b2f7",
+    "neel_l4": "4142be1f3c805a7d56d072ebf8d37f5e465c009c744fe2b86493a034eabc17ac",
+    "singlet_l8": "467b41f8065d4225cf93cca6b86fb3a8707d4e67b631d6ecff380d46c859999e",
 }
 
 

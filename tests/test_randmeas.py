@@ -46,7 +46,25 @@ def _kernel_reference(vec: np.ndarray, num_qubits: int) -> np.ndarray:
     return out
 
 
+def _qr_haar_reference(rng: np.random.Generator) -> np.ndarray:
+    """QR of a complex Gaussian matrix with R's diagonal made positive."""
+    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))[None, :]
+
+
 class TestHaarSampling:
+    def test_matches_qr_construction_and_stream(self):
+        rng, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        for _ in range(2000):
+            np.testing.assert_allclose(
+                sample_haar_unitary(rng), _qr_haar_reference(ref), rtol=0, atol=1e-12
+            )
+        # both consumed the same eight normals per draw
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
     def test_unitarity(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

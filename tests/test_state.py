@@ -1,4 +1,6 @@
 """Statevector engine: basis handling, gate kernels, sampling, reductions."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,19 @@ class TestGates:
         want = np.moveaxis(psi, (0, 1), (3, 1)).reshape(-1)
         np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 5, 8])
+    def test_one_qubit_gate_every_qubit_matches_kron(self, num_qubits):
+        # qubits with at least as many trailing as leading amplitudes take the
+        # matmul form, the rest the elementwise one
+        rng = np.random.default_rng(num_qubits)
+        vec = random_state_vector(num_qubits, rng)
+        state = QuantumState(num_qubits, vec)
+        u = _random_unitary_2x2(0.7, -1.3, 0.4)
+        for q in range(num_qubits):
+            got = apply_gate(state, Gate1Q(u, q))
+            op = np.kron(np.kron(np.eye(1 << q), u), np.eye(1 << (num_qubits - q - 1)))
+            np.testing.assert_allclose(got.amplitudes, op @ vec, atol=1e-12)
+
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError):
             Gate1Q(np.array([[1, 0], [0, 2]]), 0)
@@ -123,10 +138,13 @@ class TestGates:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_matrix_rejected(self, bad):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
-            Gate1Q([[bad, 0], [0, 1]], 0)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unitary"):
-            Gate2Q(np.diag([bad, 1, 1, 1]), (0, 1))
+        # the ValueError is the only signal: no numpy warning precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unitary"):
+                Gate1Q([[bad, 0], [0, 1]], 0)
+            with pytest.raises(ValueError, match="unitary"):
+                Gate2Q(np.diag([bad, 1, 1, 1]), (0, 1))
 
     def test_unitarity_identities_read_only(self):
         assert sorted(_IDENTITY) == [2, 4]
