@@ -2,20 +2,22 @@
 """Compare two source checkouts in alternating pairs; write one BENCH JSON file.
 
 Usage: python scripts/bench_pairs.py BEFORE AFTER --out BENCH_<n>.json
-           [--pairs rm_l8_mitigated=10,rm_l16_threads=3,twist_l16_readout=3]
-           [--seeds 777] [--seconds 6]
 
 BEFORE and AFTER are checkouts with ``src/`` and ``benchmark/``. Every
 measurement runs once per checkout in each pair, BEFORE first in even
 pairs and AFTER first in odd ones, so that a drift of the machine's speed
-falls on both sides alike. The file holds:
-  end_to_end  per workload and seed, the end-to-end metrics of each
-              checkout's own ``benchmark/run.py --trace 0`` in every pair,
-              their medians and quartiles, and the number of pairs in which
-              AFTER was strictly better (the direction of each metric is
-              read from AFTER's BENCHMARK.json);
+falls on both sides alike. Each ``benchmark/run.py`` runs for the
+``run_seconds`` of AFTER's BENCHMARK.json. The file holds:
+  end_to_end  per workload and seed (``PAIRS`` pairs at each of ``SEEDS``),
+              the end-to-end metrics of each checkout's own
+              ``benchmark/run.py --trace 0`` in every pair, their medians
+              and quartiles, and the number of pairs in which AFTER was
+              strictly better (the direction of each metric is read from
+              AFTER's BENCHMARK.json);
   stages      this directory's ``bench_stages.py`` with each checkout's
-              ``src`` on the Python path, in 3 pairs: per run and medians;
+              ``src`` on the Python path, in 3 pairs: per run and medians,
+              and the medians of the one-qubit gate forms where a checkout
+              has them;
   traced      one ``run.py --trace 1`` of ``rm_l8_mitigated`` per checkout,
               at the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
@@ -33,7 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_stages import checkout_state
+
 HERE = Path(__file__).resolve().parent
+PAIRS = 10
+SEEDS = (777, 2718)
 SIDES = ("before", "after")
 SINGLE_THREAD_BLAS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 STAGE_PAIRS = 3
@@ -84,9 +90,9 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4)
 
 
-def end_to_end(dirs, workload, pairs, seed, seconds, better) -> dict:
+def end_to_end(dirs, workload, seed, seconds, better) -> dict:
     runs = []
-    for pair in range(pairs):
+    for pair in range(PAIRS):
         row = {"order": list(_ordered(pair))}
         for side in _ordered(pair):
             row[side] = _run_bench(dirs[side], workload, seed, seconds, trace=0)
@@ -120,7 +126,19 @@ def stages(dirs) -> dict:
         }
         for side in SIDES
     }
-    return {"runs": runs, "median_s": medians}
+    gate1q = {
+        side: {
+            size: {
+                q: {form: statistics.median(r["gate1q"][size][q][form] for r in runs[side])
+                    for form in forms}
+                for q, forms in qubits.items()
+            }
+            for size, qubits in runs[side][0]["gate1q"].items()
+        }
+        for side in SIDES
+        if "gate1q" in runs[side][0]
+    }
+    return {"runs": runs, "median_s": medians, "gate1q_median_s": gate1q}
 
 
 def threads(dirs, seed: int) -> dict:
@@ -137,60 +155,42 @@ def threads(dirs, seed: int) -> dict:
     return out
 
 
-def _checkout_state(checkout: Path) -> dict:
-    """Commit of a checkout and whether its ``src`` differs from it."""
-
-    def git(*args):
-        proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
-        return proc.stdout.strip() if proc.returncode == 0 else None
-
-    status = git("status", "--porcelain", "--", "src")
-    return {
-        "commit": git("rev-parse", "HEAD") or "unavailable",
-        "src_modified": None if status is None else bool(status),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", default="rm_l8_mitigated=10,rm_l16_threads=3,twist_l16_readout=3")
-    parser.add_argument("--seeds", default="777")
-    parser.add_argument("--seconds", type=float, default=6.0)
     args = parser.parse_args(argv)
     dirs = {"before": args.before.resolve(), "after": args.after.resolve()}
     spec = json.loads((dirs["after"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    workloads = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
-    seeds = [int(seed) for seed in args.seeds.split(",")]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     result = {
         "provenance": {
-            **{side: _checkout_state(d) for side, d in dirs.items()},
+            **{side: checkout_state(d) for side, d in dirs.items()},
             "python": platform.python_version(),
             "numpy": np.__version__,
             "nproc": os.cpu_count(),
             "machine": platform.machine(),
         },
-        "settings": {"seeds": seeds, "seconds": args.seconds, "pairs": workloads},
+        "settings": {"seeds": SEEDS, "seconds": seconds, "pairs": PAIRS},
         "end_to_end": {
-            f"{w}@seed{seed}": end_to_end(dirs, w, n, seed, args.seconds, better)
-            for seed in seeds
-            for w, n in workloads.items()
+            f"{w}@seed{seed}": end_to_end(dirs, w, seed, seconds, better)
+            for seed in SEEDS
+            for w in workloads
         },
         "stages": stages(dirs),
         "traced": {
             TRACED_WORKLOAD: {
-                side: _run_bench(dirs[side], TRACED_WORKLOAD, seeds[0], args.seconds, trace=1)
+                side: _run_bench(dirs[side], TRACED_WORKLOAD, SEEDS[0], seconds, trace=1)
                 for side in SIDES
             }
         },
-        "threads": threads(dirs, seeds[0]),
+        "threads": threads(dirs, SEEDS[0]),
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -9,16 +9,19 @@ vector reshaped to (2,)*L has qubit q on axis q in the same order.
 
 Gates act on views of the amplitude vector; no 2^L x 2^L operator matrix
 is ever materialized. A one-qubit gate on qubit q views the vector as
-(2^q, 2, R) with R = 2^(L-q-1), the gate's axis in the middle, and picks
-one of two forms by the rule R >= 2^q:
-  - trailing block at least as long as the leading one: one ``np.matmul``
-    of the 2x2 matrix, broadcast over the leading axis;
-  - otherwise: two strided elementwise combinations of the two halves.
-Matmul was the faster form wherever R >= 2^q at every size measured
-(L = 4 to 20). It pays per leading index, so it can lose once the rows are
-short (R <= 2 at L = 8, R <= 16 at L = 12, R <= 4 at L = 16 and 20). The
-two forms agree to rounding. A two-qubit gate moves its two axes to the
-front and multiplies the (4, 2^(L-2)) view by its 4x4 matrix.
+(2^q, 2, R) with R = 2^(L-q-1), the gate's axis in the middle, and takes
+one of two forms:
+  - one ``np.matmul`` of the 2x2 matrix, broadcast over the leading axis,
+    when that axis is short (2^q <= MATMUL_CUTOFF) or the rows are long
+    (R >= MATMUL_CUTOFF);
+  - otherwise two strided elementwise combinations of the two halves.
+Matmul makes one small product per leading index, which costs more than
+the elementwise form once there are many of them and each is short. The
+cutoff comes from per-gate timings of both forms on every qubit at L = 8,
+12 and 16 (``scripts/bench_stages.py``, section ``gate1q`` of
+``BENCH_11.json``). The two forms agree to rounding. A two-qubit gate
+moves its two axes to the front and multiplies the (4, 2^(L-2)) view by its
+4x4 matrix.
 
 States are treated as immutable values: ``apply_gate`` returns a fresh
 state, so a state may be shared freely between threads for read-only
@@ -37,6 +40,7 @@ MAX_DENSE_SUBSET = 12    # dense reduced-density-matrix bound
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
+MATMUL_CUTOFF = 32       # one-qubit gates: see the module docstring
 
 
 class CapacityError(ValueError):
@@ -171,6 +175,14 @@ def new_basis_state(num_qubits: int, bits: str) -> QuantumState:
     return QuantumState(num_qubits, amps)
 
 
+def _strided_one_qubit(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``u`` applied to the middle axis of a (2^q, 2, R) view, half by half."""
+    out = np.empty_like(psi)
+    out[:, 0, :] = u[0, 0] * psi[:, 0, :] + u[0, 1] * psi[:, 1, :]
+    out[:, 1, :] = u[1, 0] * psi[:, 0, :] + u[1, 1] * psi[:, 1, :]
+    return out
+
+
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a 1- or 2-qubit gate, returning a new state."""
     n = state.num_qubits
@@ -179,12 +191,10 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
         if q >= n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
         psi = state.amplitudes.reshape(1 << q, 2, -1)
-        u = gate.matrix
-        if psi.shape[2] >= psi.shape[0]:
-            return QuantumState(n, np.matmul(u, psi).reshape(-1))
-        out = np.empty_like(psi)
-        out[:, 0, :] = u[0, 0] * psi[:, 0, :] + u[0, 1] * psi[:, 1, :]
-        out[:, 1, :] = u[1, 0] * psi[:, 0, :] + u[1, 1] * psi[:, 1, :]
+        if psi.shape[0] <= MATMUL_CUTOFF or psi.shape[2] >= MATMUL_CUTOFF:
+            out = np.matmul(gate.matrix, psi)
+        else:
+            out = _strided_one_qubit(gate.matrix, psi)
         return QuantumState(n, out.reshape(-1))
     a, b = gate.qubits
     if a >= n or b >= n:

@@ -1,6 +1,6 @@
-"""Smoke test of ``scripts/bench_stages.py``: it runs and writes its keys.
+"""Smoke test of ``scripts/bench_stages.py``: it runs and prints its keys.
 
-No time is asserted; only the shape of the JSON it writes.
+No time is asserted; only the shape of the JSON it prints.
 """
 import json
 import os
@@ -17,21 +17,26 @@ STAGES = {
     "random_round_l8",
     "random_round_l16",
 }
+GATE_SIZES = {8, 12, 16}
 
 
-def test_one_repeat_writes_every_stage(tmp_path):
-    out = tmp_path / "stages.json"
+def test_one_repeat_prints_every_stage():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_stages.py"), "--repeats", "1",
-         "--out", str(out)],
-        env=env, check=True, timeout=300,
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_stages.py"), "--repeats", "1"],
+        env=env, check=True, timeout=300, capture_output=True, text=True,
     )
-    result = json.loads(out.read_text())
-    assert set(result) == {"provenance", "repeats", "stages"}
+    result = json.loads(proc.stdout)
+    assert set(result) == {"provenance", "repeats", "stages", "gate1q"}
     assert set(result["provenance"]) == {"commit", "src_modified", "python", "numpy", "nproc"}
     assert result["repeats"] == 1
     assert set(result["stages"]) == STAGES
     for stage in result["stages"].values():
         assert set(stage) == {"median_s", "calls_per_block", "blocks_s"}
         assert len(stage["blocks_s"]) == 1
+    assert set(result["gate1q"]) == {f"l{n}" for n in GATE_SIZES}
+    for n in GATE_SIZES:
+        qubits = result["gate1q"][f"l{n}"]
+        assert set(qubits) == {f"q{q}" for q in range(n)}
+        for forms in qubits.values():
+            assert set(forms) == {"matmul_s", "strided_s"}

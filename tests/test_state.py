@@ -117,8 +117,8 @@ class TestGates:
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 5, 8])
     def test_one_qubit_gate_every_qubit_matches_kron(self, num_qubits):
-        # qubits with at least as many trailing as leading amplitudes take the
-        # matmul form, the rest the elementwise one
+        # qubits 6 and 7 of L = 8 take the strided form (more than
+        # MATMUL_CUTOFF leading indices, short rows), every other one matmul
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
