@@ -14,11 +14,12 @@ one of two forms:
   - one ``np.matmul`` of the 2x2 matrix, broadcast over the leading axis,
     when that axis is short (2^q <= MATMUL_CUTOFF) or the rows are long
     (R >= MATMUL_CUTOFF);
-  - otherwise two strided elementwise combinations of the two halves.
+  - otherwise the strided form, two elementwise combinations of the two
+    halves.
 Matmul makes one small product per leading index, which costs more than
-the elementwise form once there are many of them and each is short. The
+the strided form once there are many of them and each is short. The
 cutoff comes from per-gate timings of both forms on every qubit at L = 8,
-12 and 16 (``scripts/bench_stages.py``, section ``gate1q`` of
+12 and 16 (``scripts/bench_stages.py``; ``stages.gate1q_median_s`` in
 ``BENCH_11.json``). The two forms agree to rounding. A two-qubit gate
 moves its two axes to the front and multiplies the (4, 2^(L-2)) view by its
 4x4 matrix.
@@ -57,7 +58,9 @@ def _as_unitary(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):  # no warning ahead of the error
+    # no numpy warning ahead of the error below; timed cheaper than checking
+    # the entries for inf, nan or a modulus above 1 before the product
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = np.abs(m.conj().T @ m - _IDENTITY[dim]).max()
     if not defect <= UNITARY_ATOL:  # also rejects nan and inf entries
         raise ValueError(f"matrix is not unitary (deviation {defect:.2e})")
