@@ -3,18 +3,24 @@
 
 Usage: PYTHONPATH=<checkout>/src python scripts/bench_stages.py [--repeats N]
 
-Stages, each on a singlet ring quenched to t = 0.3:
+Stages:
   sample_haar_unitary   one Haar draw;
+  gate1q_construct      one ``Gate1Q`` of a Haar unitary, unitarity check
+                        included;
+  kernel_n{8,16}        one ``purity_statistic`` (the Hamming kernel) of a
+                        count vector over 2^8 and 2^16 outcomes;
   rotate_state_l{8,16}  one rotation round, a fixed Haar unitary per qubit;
   random_round_l{8,16}  one ``experiment._random_round``: the draws, the
                         rotation, depolarizing at p_tot = 0.1 and the
                         multinomial, with the shot counts of the
                         ``rm_l8_mitigated`` and ``rm_l16_threads`` workloads.
-Section ``gate1q`` times both forms of a one-qubit gate on every qubit of a
-random state at L = 8, 12 and 16: ``np.matmul`` of the gate into the
-(2^q, 2, R) view and ``state._strided_one_qubit``. ``apply_gate`` picks
-between them by ``state.MATMUL_CUTOFF``. A package without that function
-(a checkout from before it) gets no such section.
+The rotations and rounds act on a singlet ring quenched to t = 0.3.
+Section ``gate1q`` times the forms of a one-qubit gate that the imported
+``state`` module has, on every qubit of a random state at L = 8, 12 and 16:
+``matmul`` (``np.matmul`` of the gate into the (2^q, 2, R) view) always,
+``strided`` (``state._strided_one_qubit``) and ``kron`` (``state._kron_one_qubit``)
+where the module defines them. ``apply_gate`` picks between its forms by
+``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
 blocks of the time per call, in seconds. The JSON goes to stdout. The
@@ -39,8 +45,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 P_TOT = 0.1
-SHOTS = {8: 4096, 16: 16384}
+SHOTS = {8: 4096, 16: 16384}  # per round, by chain length
 GATE_CALLS = {8: 500, 12: 100, 16: 10}  # calls per block, by chain length
+KRON_MAX_ROWS = 64  # the kron form is timed up to this row length R
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -63,14 +70,25 @@ def checkout_state(root: Path) -> dict:
     }
 
 
+GATE_FORMS = {"strided": "_strided_one_qubit", "kron": "_kron_one_qubit"}
+
+
 def _stages():
     """(name, calls per block, one call) in report order."""
     from sshquench import quench_circuit
     from sshquench.experiment import _random_round
-    from sshquench.randmeas import rotate_state, sample_haar_unitary
+    from sshquench.randmeas import purity_statistic, rotate_state, sample_haar_unitary
+    from sshquench.state import Gate1Q
 
     rng = np.random.default_rng(11)
     yield "sample_haar_unitary", 2000, lambda: sample_haar_unitary(rng)
+    u = sample_haar_unitary(rng)
+    yield "gate1q_construct", 2000, lambda: Gate1Q(u, 3)
+    for num_qubits, calls in ((8, 1000), (16, 20)):
+        shots = SHOTS[num_qubits]
+        counts = rng.multinomial(shots, np.full(1 << num_qubits, 1.0 / (1 << num_qubits)))
+        yield (f"kernel_n{num_qubits}", calls,
+               lambda c=counts, n=shots: purity_statistic(c, n, "unbiased"))
     for num_sites, calls in ((8, 200), (16, 10)):
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         unitaries = [sample_haar_unitary(rng) for _ in range(num_sites)]
@@ -87,6 +105,10 @@ def _gate_forms():
     from sshquench import state as state_module
     from sshquench.randmeas import sample_haar_unitary
 
+    forms = {"matmul": np.matmul}
+    for form, attr in GATE_FORMS.items():
+        if hasattr(state_module, attr):
+            forms[form] = getattr(state_module, attr)
     rng = np.random.default_rng(12)
     u = sample_haar_unitary(rng)
     for num_sites, calls in GATE_CALLS.items():
@@ -94,9 +116,10 @@ def _gate_forms():
         vec /= np.linalg.norm(vec)
         for q in range(num_sites):
             psi = vec.reshape(1 << q, 2, -1)
-            yield num_sites, q, "matmul", calls, lambda p=psi: np.matmul(u, p)
-            yield (num_sites, q, "strided", calls,
-                   lambda p=psi: state_module._strided_one_qubit(u, p))
+            for form, fn in forms.items():
+                if form == "kron" and psi.shape[2] > KRON_MAX_ROWS:
+                    continue  # its (2R, 2R) factor grows as 4^R
+                yield num_sites, q, form, calls, lambda f=fn, p=psi: f(u, p)
 
 
 def _time(call, calls: int, repeats: int) -> dict:
@@ -123,20 +146,16 @@ def provenance() -> dict:
 
 
 def measure(repeats: int) -> dict:
-    from sshquench import state as state_module
-
-    result = {
+    gate1q = {}
+    for num_sites, q, form, calls, call in _gate_forms():
+        row = gate1q.setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
+        row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
+    return {
         "provenance": provenance(),
         "repeats": repeats,
         "stages": {name: _time(call, calls, repeats) for name, calls, call in _stages()},
+        "gate1q": gate1q,
     }
-    if hasattr(state_module, "_strided_one_qubit"):
-        gate1q = {}
-        for num_sites, q, form, calls, call in _gate_forms():
-            row = gate1q.setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
-            row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
-        result["gate1q"] = gate1q
-    return result
 
 
 def main(argv=None) -> int:

@@ -79,6 +79,7 @@ from .state import (
     probabilities,
     purity,
     sample_outcomes,
+    sample_shots,
 )
 
 ENTROPY_STREAM = 0
@@ -152,6 +153,9 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     spec, opts = config.spec, config.options
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun that fails midway must not leave the last run's manifest
+    # vouching for new, partial files
+    (out_dir / "manifest.txt").unlink(missing_ok=True)
 
     subset = resolve_subsystem(opts.subsystem, spec.num_sites)
 
@@ -204,14 +208,20 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
 
 
 def _measure(state, num_shots, p_tot, readout_flip, rng, unitaries=()) -> np.ndarray:
-    """The one measurement chain: rotate, depolarize, sample, flip, count."""
+    """The one measurement chain: rotate, depolarize, sample, flip, count.
+
+    Without flips the multinomial counts are the result; with them the shots
+    are expanded, flipped and counted back. Both draw the same multinomial
+    from ``rng`` first.
+    """
     dist = probabilities(rotate_state(state, unitaries) if unitaries else state)
     if p_tot > 0.0:
         dist = apply_depolarizing(dist, p_tot)
-    outcomes = sample_outcomes(dist, num_shots, rng)
     if readout_flip > 0.0:
+        outcomes = sample_outcomes(dist, num_shots, rng)
         outcomes = flip_outcomes(outcomes, state.num_qubits, readout_flip, rng)
-    return counts_from_outcomes(outcomes, state.num_qubits)
+        return counts_from_outcomes(outcomes, state.num_qubits)
+    return sample_shots(dist, num_shots, rng)
 
 
 def _random_round(

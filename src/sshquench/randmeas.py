@@ -25,6 +25,13 @@ vectors are transformed exactly in any order, but the non-dyadic
 probabilities that ``purity_from_subset_distribution`` takes change in
 their last bits when the axes are walked in another order.
 
+Kernel stage: one BLAS product, the (2^(N_I-1), 2) matrix of the two halves'
+entries times [[1, -1/2], [-1/2, 1]]. It gives the same bits as computing
+a - b/2 and b - a/2 elementwise: multiplying a normal number by 1 or by 1/2
+is exact, so either way each output is the one rounding of the exact
+a - b/2, with or without a fused multiply-add. Only subnormal inputs, which
+no count or probability here comes near, could tell the two apart.
+
 Counts: a round keeps the integer vector of length 2^L that the multinomial
 draw returns (``ShotTable.counts``); a subsystem marginal is a reshape, a sum
 over the other qubits and a transpose into the listed order.
@@ -116,6 +123,11 @@ def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> Quantu
     return state
 
 
+# one kernel stage: the row [a, b] of an axis' two halves becomes [a - b/2, b - a/2]
+_KERNEL_STAGE = np.array([[1.0, -0.5], [-0.5, 1.0]])
+_KERNEL_STAGE.setflags(write=False)
+
+
 def _kernel_transform(vec: np.ndarray, num_qubits: int) -> np.ndarray:
     """Apply the per-qubit pair kernel along every axis of ``vec``.
 
@@ -125,11 +137,7 @@ def _kernel_transform(vec: np.ndarray, num_qubits: int) -> np.ndarray:
     """
     out = np.asarray(vec, dtype=float).reshape(-1)
     for _ in range(num_qubits):
-        a, b = out.reshape(2, -1)
-        out = np.empty((a.size, 2))
-        np.subtract(a, 0.5 * b, out=out[:, 0])
-        np.add(-0.5 * a, b, out=out[:, 1])
-        out = out.reshape(-1)
+        out = (out.reshape(2, -1).T @ _KERNEL_STAGE).reshape(-1)
     return out
 
 

@@ -12,17 +12,25 @@ is ever materialized. A one-qubit gate on qubit q views the vector as
 (2^q, 2, R) with R = 2^(L-q-1), the gate's axis in the middle, and takes
 one of two forms:
   - one ``np.matmul`` of the 2x2 matrix, broadcast over the leading axis,
-    when that axis is short (2^q <= MATMUL_CUTOFF) or the rows are long
-    (R >= MATMUL_CUTOFF);
-  - otherwise the strided form, two elementwise combinations of the two
-    halves.
+    when that axis is short (2^q <= MATMUL_LEADING) or the rows are long
+    (R >= MATMUL_ROWS);
+  - otherwise the kron form: the (2^q, 2R) view times kron(u, I_R).T, one
+    BLAS product whose (2R, 2R) factor is at most 32 x 32.
 Matmul makes one small product per leading index, which costs more than
-the strided form once there are many of them and each is short. The
-cutoff comes from per-gate timings of both forms on every qubit at L = 8,
-12 and 16 (``scripts/bench_stages.py``; ``stages.gate1q_median_s`` in
-``BENCH_11.json``). The two forms agree to rounding. A two-qubit gate
-moves its two axes to the front and multiplies the (4, 2^(L-2)) view by its
-4x4 matrix.
+one product over all of them once there are many and each is short. The
+rule comes from per-gate timings of both forms on every qubit at L = 8, 12
+and 16 (``scripts/bench_stages.py``, ``gate1q`` in ``BENCH_12.json``),
+where it picks the faster form on all 36 qubits. The kron form replaced a
+strided form, two elementwise combinations of the two halves, whose
+2^L-sized temporaries cost 1.6-2.5 ms per gate at L = 16 against 0.26-0.66
+ms for the product. The forms differ only in the last bit of an amplitude
+(at most 3e-17 on random normalized states at L = 8, 12 and 16), and no
+output file of ``scripts/output_digests.py`` moved when the kron form came
+in. A two-qubit gate moves its two axes to the front and multiplies the
+(4, 2^(L-2)) view by its 4x4 matrix.
+
+Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs
+less than a numpy product; Gate2Q keeps the numpy check.
 
 States are treated as immutable values: ``apply_gate`` returns a fresh
 state, so a state may be shared freely between threads for read-only
@@ -31,7 +39,9 @@ expressed as replacement.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -41,27 +51,47 @@ MAX_DENSE_SUBSET = 12    # dense reduced-density-matrix bound
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
-MATMUL_CUTOFF = 32       # one-qubit gates: see the module docstring
+MATMUL_LEADING = 16      # one-qubit gates: see the module docstring
+MATMUL_ROWS = 32
 
 
 class CapacityError(ValueError):
     """Requested size exceeds what the dense representation supports."""
 
 
-# read-only identities of the gate dimensions, shared by every unitarity check
-_IDENTITY = {dim: np.eye(dim) for dim in (2, 4)}
-for _eye in _IDENTITY.values():
-    _eye.setflags(write=False)
+# read-only identity of the two-qubit gates' unitarity check
+_IDENTITY_4 = np.eye(4)
+_IDENTITY_4.setflags(write=False)
+
+
+def _unitarity_defect_2x2(m: np.ndarray) -> float:
+    """max |M^dagger M - I| over the three distinct entries, in Python scalars.
+
+    Python float arithmetic neither warns nor raises on inf or nan. The
+    off-diagonal entry reads all eight real parts, so a nan anywhere makes it
+    nan, and it goes first in ``max``, which keeps its first argument when
+    every comparison with it is false.
+    """
+    (a, b), (c, d) = m.tolist()
+    ac, cc = a.conjugate(), c.conjugate()
+    off = ac * b + cc * d
+    return max(
+        math.sqrt((off * off.conjugate()).real),
+        abs((ac * a + cc * c).real - 1.0),
+        abs((b.conjugate() * b + d.conjugate() * d).real - 1.0),
+    )
 
 
 def _as_unitary(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    # no numpy warning ahead of the error below; timed cheaper than checking
-    # the entries for inf, nan or a modulus above 1 before the product
-    with np.errstate(invalid="ignore", over="ignore"):
-        defect = np.abs(m.conj().T @ m - _IDENTITY[dim]).max()
+    if dim == 2:
+        defect = _unitarity_defect_2x2(m)
+    else:
+        # no numpy warning ahead of the error below
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = np.abs(m.conj().T @ m - _IDENTITY_4).max()
     if not defect <= UNITARY_ATOL:  # also rejects nan and inf entries
         raise ValueError(f"matrix is not unitary (deviation {defect:.2e})")
     m.setflags(write=False)
@@ -178,12 +208,22 @@ def new_basis_state(num_qubits: int, bits: str) -> QuantumState:
     return QuantumState(num_qubits, amps)
 
 
-def _strided_one_qubit(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``u`` applied to the middle axis of a (2^q, 2, R) view, half by half."""
-    out = np.empty_like(psi)
-    out[:, 0, :] = u[0, 0] * psi[:, 0, :] + u[0, 1] * psi[:, 1, :]
-    out[:, 1, :] = u[1, 0] * psi[:, 0, :] + u[1, 1] * psi[:, 1, :]
-    return out
+@lru_cache(maxsize=None)
+def _eye(size: int) -> np.ndarray:
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
+
+
+def _kron_one_qubit(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``u`` applied to the middle axis of a (2^q, 2, R) view as one product.
+
+    Each length-2R row is multiplied by kron(u, I_R).T, which is built by one
+    broadcast multiply.
+    """
+    rows = psi.shape[2]
+    factor = u.T[:, None, :, None] * _eye(rows)[None, :, None, :]
+    return psi.reshape(psi.shape[0], -1) @ factor.reshape(2 * rows, 2 * rows)
 
 
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
@@ -194,10 +234,10 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
         if q >= n:
             raise ValueError(f"qubit {q} out of range for {n} qubits")
         psi = state.amplitudes.reshape(1 << q, 2, -1)
-        if psi.shape[0] <= MATMUL_CUTOFF or psi.shape[2] >= MATMUL_CUTOFF:
+        if psi.shape[0] <= MATMUL_LEADING or psi.shape[2] >= MATMUL_ROWS:
             out = np.matmul(gate.matrix, psi)
         else:
-            out = _strided_one_qubit(gate.matrix, psi)
+            out = _kron_one_qubit(gate.matrix, psi)
         return QuantumState(n, out.reshape(-1))
     a, b = gate.qubits
     if a >= n or b >= n:

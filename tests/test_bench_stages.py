@@ -12,12 +12,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 STAGES = {
     "sample_haar_unitary",
+    "gate1q_construct",
+    "kernel_n8",
+    "kernel_n16",
     "rotate_state_l8",
     "rotate_state_l16",
     "random_round_l8",
     "random_round_l16",
 }
 GATE_SIZES = {8, 12, 16}
+KRON_MAX_ROWS = 64  # the script times the kron form up to this row length
 
 
 def test_one_repeat_prints_every_stage():
@@ -38,5 +42,6 @@ def test_one_repeat_prints_every_stage():
     for n in GATE_SIZES:
         qubits = result["gate1q"][f"l{n}"]
         assert set(qubits) == {f"q{q}" for q in range(n)}
-        for forms in qubits.values():
-            assert set(forms) == {"matmul_s", "strided_s"}
+        for q in range(n):
+            kron = {"kron_s"} if 1 << (n - q - 1) <= KRON_MAX_ROWS else set()
+            assert set(qubits[f"q{q}"]) == {"matmul_s"} | kron

@@ -13,6 +13,7 @@ from sshquench.circuits import (
     prepare_neel,
     prepare_singlet_product,
 )
+from sshquench import experiment
 from sshquench.cli import main
 from sshquench.config import parse_config
 from sshquench.experiment import compare_report, read_shot_tables
@@ -275,6 +276,29 @@ class TestReport:
         assert main(["report", str(out)]) == 2
         assert "manifest.txt" in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
+
+    def test_report_refuses_rerun_that_crashed(self, tmp_path, capsys, monkeypatch):
+        # the rerun writes a new entropy.csv, then fails: the old twist.csv
+        # and the old manifest must not pass for a complete run
+        conf = _write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        write_table = experiment._write_table
+
+        def crash_after_entropy(path, header, rows):
+            write_table(path, header, rows)
+            if path.name == "entropy.csv":
+                raise RuntimeError("stage failed")
+
+        monkeypatch.setattr(experiment, "_write_table", crash_after_entropy)
+        with pytest.raises(RuntimeError, match="stage failed"):
+            main(["run", str(conf), "--out", str(out), "--quiet", "--seed", "5"])
+        assert (out / "twist.csv").exists() and not (out / "manifest.txt").exists()
+        with pytest.raises(FileNotFoundError, match="manifest.txt"):
+            compare_report(out)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "manifest.txt" in capsys.readouterr().err
 
     def test_exact_mode_report_rms(self, tmp_path):
         conf = _write_config(tmp_path, SMALL)

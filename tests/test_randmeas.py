@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import hamming_distance, random_state_vector
 from sshquench.circuits import h_gate, cx_gate, quench_circuit
-from sshquench.experiment import run_randomized_measurements
+from sshquench.experiment import _measure, run_randomized_measurements
+from sshquench.noise import apply_depolarizing
 from sshquench.randmeas import (
     ShotTable,
     _kernel_transform,
@@ -23,9 +24,11 @@ from sshquench.randmeas import (
 from sshquench.state import (
     QuantumState,
     apply_gate,
+    counts_from_outcomes,
     new_basis_state,
     probabilities,
     purity,
+    sample_outcomes,
     sample_shots,
 )
 
@@ -42,6 +45,18 @@ def _kernel_reference(vec: np.ndarray, num_qubits: int) -> np.ndarray:
         out = np.empty_like(v)
         out[:, 0, :] = v[:, 0, :] - 0.5 * v[:, 1, :]
         out[:, 1, :] = -0.5 * v[:, 0, :] + v[:, 1, :]
+        out = out.reshape(-1)
+    return out
+
+
+def _kernel_staged_reference(vec: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The kernel's earlier stage, six numpy calls per axis, kept as a reference."""
+    out = np.asarray(vec, dtype=float).reshape(-1)
+    for _ in range(num_qubits):
+        a, b = out.reshape(2, -1)
+        out = np.empty((a.size, 2))
+        np.subtract(a, 0.5 * b, out=out[:, 0])
+        np.add(-0.5 * a, b, out=out[:, 1])
         out = out.reshape(-1)
     return out
 
@@ -173,6 +188,28 @@ class TestKernel:
             want = _kernel_reference(vec, n)
             got = _kernel_transform(vec, n)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_stage_product_bitwise_equal_to_staged_form(self, n):
+        rng = np.random.default_rng(100 + n)
+        size, shots = 1 << n, 4096
+        counts = rng.multinomial(shots, np.full(size, 1.0 / size))
+        probs = rng.dirichlet(np.ones(size))  # non-dyadic: rounding shows
+        spike = np.zeros(size, dtype=np.int64)
+        spike[rng.integers(size)] = shots
+        for vec in (counts, probs, np.zeros(size), spike):
+            want = _kernel_staged_reference(vec, n)
+            assert np.array_equal(_kernel_transform(vec, n), want)
+        scale = float(size)
+        quad = float(probs @ _kernel_staged_reference(probs, n))
+        assert purity_from_subset_distribution(probs) == scale * quad
+        for vec in (counts, spike):
+            w = vec.astype(float)
+            quad = float(w @ _kernel_staged_reference(w, n))
+            assert purity_statistic(vec, shots, "plugin") == scale * quad / shots**2
+            assert purity_statistic(vec, shots, "unbiased") == (
+                scale * (quad - shots) / (shots * (shots - 1))
+            )
 
     @pytest.mark.parametrize(
         "fn",

@@ -14,12 +14,17 @@ from conftest import (
     ref_reduced_density,
 )
 from sshquench.circuits import cx_gate, h_gate, quench_circuit
+from sshquench.randmeas import sample_haar_unitary
 from sshquench.state import (
     CapacityError,
     Gate1Q,
     Gate2Q,
+    MATMUL_LEADING,
+    MATMUL_ROWS,
+    UNITARY_ATOL,
     QuantumState,
-    _IDENTITY,
+    _IDENTITY_4,
+    _unitarity_defect_2x2,
     apply_gate,
     bits_to_index,
     counts_from_outcomes,
@@ -49,6 +54,12 @@ def _random_unitary_2x2(theta, phi, lam) -> np.ndarray:
             [-np.exp(-1j * lam) * s, np.exp(-1j * phi) * c],
         ]
     )
+
+
+def _unitarity_defect_reference(m: np.ndarray) -> float:
+    """max |M^dagger M - I| by a numpy product, the check's earlier form."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.abs(m.conj().T @ m - np.eye(len(m))).max())
 
 
 class TestBasisStates:
@@ -115,18 +126,27 @@ class TestGates:
         want = np.moveaxis(psi, (0, 1), (3, 1)).reshape(-1)
         np.testing.assert_allclose(got.amplitudes, want, atol=1e-12)
 
-    @pytest.mark.parametrize("num_qubits", [1, 2, 5, 8])
+    @pytest.mark.parametrize("num_qubits", [1, 2, 5, 8, 12])
     def test_one_qubit_gate_every_qubit_matches_kron(self, num_qubits):
-        # qubits 6 and 7 of L = 8 take the strided form (more than
-        # MATMUL_CUTOFF leading indices, short rows), every other one matmul
+        # qubits with more than MATMUL_LEADING leading indices and rows
+        # shorter than MATMUL_ROWS take the kron form (5-7 of L = 8, 7-11
+        # of L = 12, at R = 16 down to 1), every other one matmul
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
         u = _random_unitary_2x2(0.7, -1.3, 0.4)
+        forms = set()
         for q in range(num_qubits):
+            rows = 1 << (num_qubits - q - 1)
+            forms.add((1 << q) <= MATMUL_LEADING or rows >= MATMUL_ROWS)
             got = apply_gate(state, Gate1Q(u, q))
-            op = np.kron(np.kron(np.eye(1 << q), u), np.eye(1 << (num_qubits - q - 1)))
-            np.testing.assert_allclose(got.amplitudes, op @ vec, atol=1e-12)
+            if num_qubits <= 8:
+                op = np.kron(np.kron(np.eye(1 << q), u), np.eye(rows))
+                want = op @ vec
+            else:  # the full operator would take 256 MB: u on the qubit's axis
+                want = np.einsum("ij,ajb->aib", u, vec.reshape(1 << q, 2, rows))
+            np.testing.assert_allclose(got.amplitudes, want.reshape(-1), atol=1e-12)
+        assert forms == ({True, False} if num_qubits >= 8 else {True})
 
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError):
@@ -147,11 +167,42 @@ class TestGates:
                 Gate2Q(np.diag([bad, 1, 1, 1]), (0, 1))
 
     def test_unitarity_identities_read_only(self):
-        assert sorted(_IDENTITY) == [2, 4]
-        for dim, eye in _IDENTITY.items():
-            np.testing.assert_array_equal(eye, np.eye(dim))
-            with pytest.raises(ValueError):
-                eye[0, 0] = 2.0
+        np.testing.assert_array_equal(_IDENTITY_4, np.eye(4))
+        with pytest.raises(ValueError):
+            _IDENTITY_4[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_nonfinite_entry_rejected_without_warning(self, bad, entry):
+        m = _random_unitary_2x2(0.7, -1.3, 0.4)
+        m[entry] = bad
+        # a nan entry must read as a nan deviation, whatever its position
+        match = "deviation nan" if np.isnan(bad) else "not unitary"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                Gate1Q(m, 0)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+    def test_scalar_check_agrees_with_numpy_defect(self, ratio):
+        # Haar unitaries made non-unitary by a known amount, on the diagonal
+        # of M^dagger M (a column scaled) and off it (a column sheared)
+        rng = np.random.default_rng(31)
+        eps = ratio * UNITARY_ATOL
+        for _ in range(200):
+            u = sample_haar_unitary(rng)
+            scaled = u * np.array([1.0, np.sqrt(1.0 + eps)])
+            sheared = u @ np.array([[1.0, eps * np.exp(1j * rng.uniform(0, 2 * np.pi))],
+                                    [0.0, 1.0]])
+            for m in (scaled, sheared):
+                want = _unitarity_defect_reference(m)
+                assert want == pytest.approx(eps, rel=0.01)
+                assert _unitarity_defect_2x2(m) == pytest.approx(want, abs=1e-15)
+                if ratio < 1.0:
+                    np.testing.assert_array_equal(Gate1Q(m, 0).matrix, m)
+                else:
+                    with pytest.raises(ValueError, match="not unitary"):
+                        Gate1Q(m, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
