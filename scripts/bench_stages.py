@@ -118,7 +118,7 @@ def _gate_forms():
             psi = vec.reshape(1 << q, 2, -1)
             for form, fn in forms.items():
                 if form == "kron" and psi.shape[2] > KRON_MAX_ROWS:
-                    continue  # its (2R, 2R) factor grows as 4^R
+                    continue  # its (2R, 2R) factor has 4 R^2 entries
                 yield num_sites, q, form, calls, lambda f=fn, p=psi: f(u, p)
 
 

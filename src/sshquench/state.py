@@ -20,10 +20,11 @@ Matmul makes one small product per leading index, which costs more than
 one product over all of them once there are many and each is short. The
 rule comes from per-gate timings of both forms on every qubit at L = 8, 12
 and 16 (``scripts/bench_stages.py``, ``gate1q`` in ``BENCH_12.json``),
-where it picks the faster form on all 36 qubits. The kron form replaced a
+where it picks the faster form on every qubit that has both timed (R <= 64;
+the kron form's cost grows with R beyond that). The kron form replaced a
 strided form, two elementwise combinations of the two halves, whose
-2^L-sized temporaries cost 1.6-2.5 ms per gate at L = 16 against 0.26-0.66
-ms for the product. The forms differ only in the last bit of an amplitude
+2^L-sized temporaries cost 1.6-2.3 ms per gate on q = 11..15 of L = 16
+against 0.27-0.62 ms for the product. The forms differ only in the last bit of an amplitude
 (at most 3e-17 on random normalized states at L = 8, 12 and 16), and no
 output file of ``scripts/output_digests.py`` moved when the kron form came
 in. A two-qubit gate moves its two axes to the front and multiplies the
@@ -208,7 +209,7 @@ def new_basis_state(num_qubits: int, bits: str) -> QuantumState:
     return QuantumState(num_qubits, amps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # apply_gate asks only for the sizes R < MATMUL_ROWS
 def _eye(size: int) -> np.ndarray:
     eye = np.eye(size)
     eye.setflags(write=False)

