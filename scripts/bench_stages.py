@@ -48,6 +48,8 @@ P_TOT = 0.1
 SHOTS = {8: 4096, 16: 16384}  # per round, by chain length
 GATE_CALLS = {8: 500, 12: 100, 16: 10}  # calls per block, by chain length
 KRON_MAX_ROWS = 64  # the kron form is timed up to this row length R
+# one-qubit forms besides matmul, by the ``state`` function that holds them
+GATE_FORMS = {"strided": "_strided_one_qubit", "kron": "_kron_one_qubit"}
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -68,9 +70,6 @@ def checkout_state(root: Path) -> dict:
         "commit": _git(root, "rev-parse", "HEAD") or "unavailable",
         "src_modified": None if status is None else bool(status),
     }
-
-
-GATE_FORMS = {"strided": "_strided_one_qubit", "kron": "_kron_one_qubit"}
 
 
 def _stages():

@@ -130,7 +130,7 @@ class TestGates:
     def test_one_qubit_gate_every_qubit_matches_kron(self, num_qubits):
         # qubits with more than MATMUL_LEADING leading indices and rows
         # shorter than MATMUL_ROWS take the kron form (5-7 of L = 8, 7-11
-        # of L = 12, at R = 16 down to 1), every other one matmul
+        # of L = 12), every other one matmul
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
