@@ -16,8 +16,7 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               AFTER's BENCHMARK.json);
   stages      this directory's ``bench_stages.py`` with each checkout's
               ``src`` on the Python path, in 3 pairs: per run and medians,
-              and the medians of the one-qubit gate forms where a checkout
-              has them;
+              and the medians of the one-qubit gate forms;
   traced      one ``run.py --trace 1`` of ``rm_l8_mitigated`` per checkout,
               at the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
@@ -51,10 +50,10 @@ THREAD_CHILD = """
 import sys, tempfile, time
 sys.path.insert(0, sys.argv[1] + "/benchmark")
 from run import WORKLOADS
-from sshquench.config import parse_config_text, with_overrides
+from sshquench.config import parse_config_text
 from sshquench.experiment import execute
 text = WORKLOADS["rm_l16_threads"].config_text(int(sys.argv[2]))
-config = with_overrides(parse_config_text(text), threads=int(sys.argv[3]))
+config = parse_config_text(f"{text}\nthreads = {sys.argv[3]}\n")
 with tempfile.TemporaryDirectory() as out:
     start = time.perf_counter()
     execute(config, out, quiet=True)
@@ -136,7 +135,6 @@ def stages(dirs) -> dict:
             for size, qubits in runs[side][0]["gate1q"].items()
         }
         for side in SIDES
-        if "gate1q" in runs[side][0]
     }
     return {"runs": runs, "median_s": medians, "gate1q_median_s": gate1q}
 

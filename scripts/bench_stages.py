@@ -15,11 +15,10 @@ Stages:
                         multinomial, with the shot counts of the
                         ``rm_l8_mitigated`` and ``rm_l16_threads`` workloads.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
-Section ``gate1q`` times the forms of a one-qubit gate that the imported
-``state`` module has, on every qubit of a random state at L = 8, 12 and 16:
-``matmul`` (``np.matmul`` of the gate into the (2^q, 2, R) view) always,
-``strided`` (``state._strided_one_qubit``) and ``kron`` (``state._kron_one_qubit``)
-where the module defines them. ``apply_gate`` picks between its forms by
+Section ``gate1q`` times the two forms of a one-qubit gate on every qubit
+of a random state at L = 8, 12 and 16: ``matmul`` (``np.matmul`` of the
+gate into the (2^q, 2, R) view) and ``kron`` (``state._kron_one_qubit``, for
+rows R of at most ``KRON_MAX_ROWS``). ``apply_gate`` picks between them by
 ``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
@@ -48,8 +47,6 @@ P_TOT = 0.1
 SHOTS = {8: 4096, 16: 16384}  # per round, by chain length
 GATE_CALLS = {8: 500, 12: 100, 16: 10}  # calls per block, by chain length
 KRON_MAX_ROWS = 64  # the kron form is timed up to this row length R
-# one-qubit forms besides matmul, by the ``state`` function that holds them
-GATE_FORMS = {"strided": "_strided_one_qubit", "kron": "_kron_one_qubit"}
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -101,13 +98,10 @@ def _stages():
 
 def _gate_forms():
     """(chain length, qubit, form, calls per block, one call) for ``gate1q``."""
-    from sshquench import state as state_module
     from sshquench.randmeas import sample_haar_unitary
+    from sshquench.state import _kron_one_qubit
 
-    forms = {"matmul": np.matmul}
-    for form, attr in GATE_FORMS.items():
-        if hasattr(state_module, attr):
-            forms[form] = getattr(state_module, attr)
+    forms = {"matmul": np.matmul, "kron": _kron_one_qubit}
     rng = np.random.default_rng(12)
     u = sample_haar_unitary(rng)
     for num_sites, calls in GATE_CALLS.items():

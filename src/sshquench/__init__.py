@@ -15,10 +15,9 @@ from .circuits import (
     prepare_singlet_product,
     quench_circuit,
 )
-from .config import ConfigError, ExperimentConfig, QuenchSpec, RunOptions, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .experiment import run_randomized_measurements
 from .noise import (
-    NoiseSpec,
     apply_depolarizing,
     effective_p_tot,
     estimate_p_tot_from_full_purity,

@@ -1,21 +1,20 @@
-"""Experiment configuration: dataclasses and the plain-text config format.
+"""Experiment configuration: one flat dataclass and the plain-text config format.
 
 A config file is line-oriented ``key = value`` text; ``#`` starts a comment,
 blank lines are skipped, unknown or duplicate keys are errors. The full key
 schema is documented in the package README. Semantic validation failures
 carry the line number of the offending key so the CLI can print
-``file:line: message``. ``format_config`` is the parser's inverse.
+``file:line: message``; overrides passed beside the text are checked by the
+same rules and carry no line. ``format_config`` is the parser's inverse.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .noise import NoiseSpec
 from .state import MAX_DENSE_SUBSET, MAX_QUBITS, CapacityError
 
 QUANTITIES = ("entropy", "twist", "berry")
@@ -37,71 +36,63 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuenchSpec:
-    """Full physical description of one quench experiment."""
+class ExperimentConfig:
+    """One run's settings, a field per config key.
+
+    ``t_max`` and ``t_points`` resolve to ``times``; ``out`` sets ``out_dir``.
+    """
 
     num_sites: int
     boundary: str
     initial: str
     times: tuple[float, ...]
-    num_unitaries: int
-    num_shots: int
-    noise: NoiseSpec
-    seed: int
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Runner behavior that does not alter the physics of the quench."""
-
     quantities: tuple[str, ...]
     subsystem: str
+    num_unitaries: int
+    num_shots: int
     estimator: str
+    p_layer: float
+    readout_flip: float
+    seed: int
     shift_mode: str
     mitigate: str
     save_shots: bool
     threads: int
     exact_probabilities: bool
-    out_dir: str | None
+    out_dir: str | None = None
 
-    def mitigation_enabled(self, noise: NoiseSpec) -> bool:
-        if self.mitigate == "on":
-            return True
-        if self.mitigate == "off":
-            return False
-        return noise.p_layer > 0.0
+    def mitigation_enabled(self) -> bool:
+        if self.mitigate == "auto":
+            return self.p_layer > 0.0
+        return self.mitigate == "on"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    spec: QuenchSpec
-    options: RunOptions
-
+_Entries = dict[str, tuple[str, int | None]]  # key: (value text, line or None)
 
 # Every key of the format, in the order format_config writes them: its
 # default text (None: required, or unset unless given) and the config field
 # it sets (None: not written back; t_max and t_points are written as times,
 # and an out key would make a re-run write over the run it came from).
 _KEYS = {
-    "L": (None, "spec.num_sites"),
-    "boundary": ("pbc", "spec.boundary"),
-    "initial": (None, "spec.initial"),
-    "times": (None, "spec.times"),
+    "L": (None, "num_sites"),
+    "boundary": ("pbc", "boundary"),
+    "initial": (None, "initial"),
+    "times": (None, "times"),
     "t_max": ("0.7853981633974483", None),
     "t_points": ("30", None),
-    "quantities": ("entropy", "options.quantities"),
-    "subsystem": ("half", "options.subsystem"),
-    "n_unitaries": ("100", "spec.num_unitaries"),
-    "n_shots": ("4096", "spec.num_shots"),
-    "estimator": ("unbiased", "options.estimator"),
-    "p_layer": ("0", "spec.noise.p_layer"),
-    "readout_flip": ("0", "spec.noise.readout_flip"),
-    "seed": ("1234", "spec.seed"),
-    "shift_mode": ("none", "options.shift_mode"),
-    "mitigate": ("auto", "options.mitigate"),
-    "save_shots": ("false", "options.save_shots"),
-    "threads": ("1", "options.threads"),
-    "exact_probabilities": ("false", "options.exact_probabilities"),
+    "quantities": ("entropy", "quantities"),
+    "subsystem": ("half", "subsystem"),
+    "n_unitaries": ("100", "num_unitaries"),
+    "n_shots": ("4096", "num_shots"),
+    "estimator": ("unbiased", "estimator"),
+    "p_layer": ("0", "p_layer"),
+    "readout_flip": ("0", "readout_flip"),
+    "seed": ("1234", "seed"),
+    "shift_mode": ("none", "shift_mode"),
+    "mitigate": ("auto", "mitigate"),
+    "save_shots": ("false", "save_shots"),
+    "threads": ("1", "threads"),
+    "exact_probabilities": ("false", "exact_probabilities"),
     "out": (None, None),
 }
 
@@ -118,8 +109,11 @@ _CHOICES = {
 # lower bounds of the integer keys other than L
 _MINIMA = {"t_points": 1, "n_unitaries": 1, "n_shots": 2, "seed": 0, "threads": 1}
 
+# closed ranges of the probability keys
+_RANGES = {"p_layer": (0.0, 1.0), "readout_flip": (0.0, 0.5)}
 
-def _parse_bool(raw: str, line: int, key: str) -> bool:
+
+def _parse_bool(raw: str, line: int | None, key: str) -> bool:
     if raw.lower() in ("true", "yes", "1"):
         return True
     if raw.lower() in ("false", "no", "0"):
@@ -127,22 +121,28 @@ def _parse_bool(raw: str, line: int, key: str) -> bool:
     raise ConfigError(f"{key} must be true or false, got {raw!r}", line)
 
 
-def _parse_int(raw: str, line: int, key: str) -> int:
+def _parse_number(kind, raw: str, line: int | None, key: str) -> int | float:
+    """``kind(raw)`` for ``kind`` int or float."""
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}", line) from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}", line) from None
 
 
-def _parse_float(raw: str, line: int, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}", line) from None
+def _entry(key: str, value: str, line: int | None) -> tuple[str, int | None]:
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key {key!r}", line)
+    if not value:
+        raise ConfigError(f"{key} has no value", line)
+    return value, line
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    entries: dict[str, tuple[str, int]] = {}
+def parse_config_text(
+    text: str, overrides: dict[str, str] | None = None
+) -> ExperimentConfig:
+    """Config of ``text``, with ``overrides`` (key: value text) replacing its lines."""
+    entries: _Entries = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         content = rawline.split("#", 1)[0].strip()
         if not content:
@@ -150,13 +150,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in content:
             raise ConfigError(f"expected 'key = value', got {content!r}", lineno)
         key, value = (part.strip() for part in content.split("=", 1))
-        if key not in _KEYS:
-            raise ConfigError(f"unknown key {key!r}", lineno)
         if key in entries:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        if not value:
-            raise ConfigError(f"{key} has no value", lineno)
-        entries[key] = (value, lineno)
+        entries[key] = _entry(key, value, lineno)
+    for key, value in (overrides or {}).items():
+        entries[key] = _entry(key, value.strip(), None)
     for key in _REQUIRED_KEYS:
         if key not in entries:
             raise ConfigError(f"missing required key {key!r}")
@@ -165,16 +163,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             "give either an explicit 'times' list or 't_max'/'t_points', not both",
             entries["times"][1],
         )
-    defaults = {key: (d, 0) for key, (d, _field) in _KEYS.items() if d is not None}
+    defaults = {key: (d, None) for key, (d, _field) in _KEYS.items() if d is not None}
     return _build_config({**defaults, **entries})
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
+def parse_config(
+    path: str | Path, overrides: dict[str, str] | None = None
+) -> ExperimentConfig:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)
 
 
 def _value_text(value) -> str:
@@ -189,15 +189,13 @@ def _value_text(value) -> str:
 def format_config(config: ExperimentConfig) -> str:
     """Config text that parses back to exactly ``config``, ``out`` aside."""
     return "".join(
-        f"{key} = {_value_text(attrgetter(field)(config))}\n"
+        f"{key} = {_value_text(getattr(config, field))}\n"
         for key, (_default, field) in _KEYS.items()
         if field is not None
     )
 
 
-def _build_times(
-    entries: dict[str, tuple[str, int]], t_points: int
-) -> tuple[float, ...]:
+def _build_times(entries: _Entries, t_points: int) -> tuple[float, ...]:
     if "times" in entries:
         raw, line = entries["times"]
         try:
@@ -208,7 +206,7 @@ def _build_times(
             raise ConfigError("times must be finite", line)
     else:
         line = entries["t_max"][1]
-        t_max = _parse_float(*entries["t_max"], "t_max")
+        t_max = _parse_number(float, *entries["t_max"], "t_max")
         if not 0.0 < t_max < np.inf:
             raise ConfigError("t_max must be positive and finite", line)
         times = tuple(float(t) for t in np.linspace(0.0, t_max, t_points))
@@ -219,10 +217,10 @@ def _build_times(
     return times
 
 
-def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
+def _build_config(entries: _Entries) -> ExperimentConfig:
     """Typed, validated config from raw (text, line) entries, defaults included."""
     l_line = entries["L"][1]
-    num_sites = _parse_int(*entries["L"], "L")
+    num_sites = _parse_number(int, *entries["L"], "L")
     if num_sites > MAX_QUBITS:
         raise CapacityError(
             f"L = {num_sites} exceeds the dense statevector cap of {MAX_QUBITS}"
@@ -238,19 +236,20 @@ def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
             )
     ints: dict[str, int] = {}
     for key, low in _MINIMA.items():
-        ints[key] = _parse_int(*entries[key], key)
+        ints[key] = _parse_number(int, *entries[key], key)
         if ints[key] < low:
             raise ConfigError(f"{key} must be >= {low}", entries[key][1])
 
     times = _build_times(entries, ints["t_points"])
 
-    p_layer = _parse_float(*entries["p_layer"], "p_layer")
-    readout = _parse_float(*entries["readout_flip"], "readout_flip")
-    try:
-        noise = NoiseSpec(p_layer=p_layer, readout_flip=readout)
-    except ValueError as exc:
-        key = "p_layer" if "p_layer" in str(exc) else "readout_flip"
-        raise ConfigError(str(exc), entries[key][1]) from None
+    floats: dict[str, float] = {}
+    for key, (low, high) in _RANGES.items():
+        floats[key] = _parse_number(float, *entries[key], key)
+        if not low <= floats[key] <= high:
+            raise ConfigError(
+                f"{key} must be in [{low:g}, {high:g}], got {floats[key]}",
+                entries[key][1],
+            )
 
     raw, line = entries["quantities"]
     quantities = tuple(q.strip() for q in raw.split(","))
@@ -264,31 +263,25 @@ def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
 
     raw, line = entries["subsystem"]
     subsystem = raw.replace(" ", "")
-    try:
-        resolve_subsystem(subsystem, num_sites)
-    except CapacityError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), line) from None
+    resolve_subsystem(subsystem, num_sites, line)
     if "entropy" in quantities and subsystem in ("half", "bulk") and num_sites % 4:
         raise ConfigError(
             "symmetric-bipartition entropy needs L divisible by 4", l_line
         )
 
-    spec = QuenchSpec(
+    return ExperimentConfig(
         num_sites=num_sites,
         boundary=entries["boundary"][0],
         initial=entries["initial"][0],
         times=times,
-        num_unitaries=ints["n_unitaries"],
-        num_shots=ints["n_shots"],
-        noise=noise,
-        seed=ints["seed"],
-    )
-    options = RunOptions(
         quantities=quantities,
         subsystem=subsystem,
+        num_unitaries=ints["n_unitaries"],
+        num_shots=ints["n_shots"],
         estimator=entries["estimator"][0],
+        p_layer=floats["p_layer"],
+        readout_flip=floats["readout_flip"],
+        seed=ints["seed"],
         shift_mode=entries["shift_mode"][0],
         mitigate=entries["mitigate"][0],
         save_shots=_parse_bool(*entries["save_shots"], "save_shots"),
@@ -298,32 +291,37 @@ def _build_config(entries: dict[str, tuple[str, int]]) -> ExperimentConfig:
         ),
         out_dir=entries["out"][0] if "out" in entries else None,
     )
-    return ExperimentConfig(spec, options)
 
 
-def resolve_subsystem(subsystem: str, num_sites: int) -> tuple[int, ...]:
+def resolve_subsystem(
+    subsystem: str, num_sites: int, line: int | None = None
+) -> tuple[int, ...]:
     """0-based qubit indices of a subsystem description.
 
     ``half`` is the first L/2 sites, ``bulk`` the central L/2 sites, and an
-    explicit comma list gives 1-based site numbers.
+    explicit comma list gives 1-based site numbers. A bad description raises
+    ``ConfigError`` at ``line``.
     """
     if subsystem == "half":
         qubits = tuple(range(num_sites // 2))
     elif subsystem == "bulk":
         if num_sites % 4:
-            raise ValueError("bulk subsystem needs L divisible by 4")
+            raise ConfigError("bulk subsystem needs L divisible by 4", line)
         qubits = tuple(range(num_sites // 4, 3 * num_sites // 4))
     else:
         try:
             sites = sorted(int(x) for x in subsystem.split(","))
         except ValueError:
-            raise ValueError(
-                f"subsystem must be 'half', 'bulk', or 1-based sites, got {subsystem!r}"
+            raise ConfigError(
+                f"subsystem must be 'half', 'bulk', or 1-based sites, got {subsystem!r}",
+                line,
             ) from None
         if not sites or len(set(sites)) != len(sites):
-            raise ValueError("subsystem site list must be nonempty without duplicates")
+            raise ConfigError(
+                "subsystem site list must be nonempty without duplicates", line
+            )
         if sites[0] < 1 or sites[-1] > num_sites:
-            raise ValueError(f"subsystem sites must lie in 1..{num_sites}")
+            raise ConfigError(f"subsystem sites must lie in 1..{num_sites}", line)
         qubits = tuple(s - 1 for s in sites)
     if len(qubits) > MAX_DENSE_SUBSET:
         raise CapacityError(
@@ -333,28 +331,8 @@ def resolve_subsystem(subsystem: str, num_sites: int) -> tuple[int, ...]:
     return qubits
 
 
-def default_output_dir(config_path: str | Path, options: RunOptions) -> Path:
-    if options.out_dir:
-        return Path(options.out_dir)
+def default_output_dir(config_path: str | Path, config: ExperimentConfig) -> Path:
+    if config.out_dir:
+        return Path(config.out_dir)
     root = os.environ.get(OUTPUT_ROOT_ENV, "runs")
     return Path(root) / Path(config_path).stem
-
-
-def with_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    threads: int | None = None,
-    exact_probabilities: bool | None = None,
-) -> ExperimentConfig:
-    spec, options = config.spec, config.options
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        spec = replace(spec, seed=seed)
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        options = replace(options, threads=threads)
-    if exact_probabilities is not None:
-        options = replace(options, exact_probabilities=exact_probabilities)
-    return ExperimentConfig(spec, options)

@@ -42,7 +42,6 @@ from .config import (
     format_config,
     parse_config,
     resolve_subsystem,
-    with_overrides,
 )
 from .noise import (
     apply_depolarizing,
@@ -97,22 +96,22 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _initial_circuit(spec):
-    if spec.initial == "neel":
-        return prepare_neel(spec.num_sites)
-    return prepare_singlet_product(spec.num_sites)
+def _initial_circuit(config):
+    if config.initial == "neel":
+        return prepare_neel(config.num_sites)
+    return prepare_singlet_product(config.num_sites)
 
 
-def _oracle_entropy(spec, subsystem_kind: str, subset, state, t: float) -> float:
+def _oracle_entropy(config, subset, state, t: float) -> float:
     """Closed form where a cell-aligned bipartition applies, exact otherwise."""
-    cells_per_half = spec.num_sites // 4
-    if subsystem_kind == "half":
+    cells_per_half = config.num_sites // 4
+    if config.subsystem == "half":
         return closed_form_entropy(
-            spec.initial, t, spec.boundary, num_cells=cells_per_half
+            config.initial, t, config.boundary, num_cells=cells_per_half
         )
-    if subsystem_kind == "bulk":
+    if config.subsystem == "bulk":
         # two boundaries regardless of chain ends: the periodic form
-        return closed_form_entropy(spec.initial, t, "pbc", num_cells=cells_per_half)
+        return closed_form_entropy(config.initial, t, "pbc", num_cells=cells_per_half)
     return renyi2(purity(state, subset))
 
 
@@ -136,57 +135,55 @@ def run_experiment(
     exact_probabilities: bool | None = None,
     quiet: bool = False,
 ) -> Path:
-    """Run a configured experiment; returns the output directory."""
-    config = with_overrides(
-        parse_config(config_path),
-        seed=seed,
-        threads=threads,
-        exact_probabilities=exact_probabilities,
-    )
-    out = Path(out_dir) if out_dir is not None else default_output_dir(
-        config_path, config.options
-    )
+    """Run a configured experiment; returns the output directory.
+
+    ``seed``, ``threads`` and ``exact_probabilities`` override the config
+    keys of those names and are checked by the same rules.
+    """
+    given = {"seed": seed, "threads": threads, "exact_probabilities": exact_probabilities}
+    overrides = {key: str(v).lower() for key, v in given.items() if v is not None}
+    config = parse_config(config_path, overrides)
+    out = Path(out_dir) if out_dir is not None else default_output_dir(config_path, config)
     return execute(config, out, quiet=quiet)
 
 
 def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
-    spec, opts = config.spec, config.options
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a rerun that fails midway must not leave the last run's manifest
     # vouching for new, partial files
     (out_dir / "manifest.txt").unlink(missing_ok=True)
 
-    subset = resolve_subsystem(opts.subsystem, spec.num_sites)
+    subset = resolve_subsystem(config.subsystem, config.num_sites)
 
     # fused link blocks for the states; the gate-level circuit, whose depth
     # does not depend on t, is built once for the layer counts
-    prep = _initial_circuit(spec)
+    prep = _initial_circuit(config)
     initial_state = prep.run()
     states = [
-        prep.then(evolution_circuit(t, spec.num_sites, spec.boundary, fused=True)).run()
-        for t in spec.times
+        prep.then(evolution_circuit(t, config.num_sites, config.boundary, fused=True)).run()
+        for t in config.times
     ]
     layers_total = layer_count(
-        prep.then(evolution_circuit(spec.times[0], spec.num_sites, spec.boundary))
+        prep.then(evolution_circuit(config.times[0], config.num_sites, config.boundary))
     )
-    p_tot_true = effective_p_tot(spec.noise.p_layer, layers_total)
+    p_tot_true = effective_p_tot(config.p_layer, layers_total)
 
     tables: dict[str, list[tuple]] = {}
     shot_files: dict[str, str] = {}
-    if "entropy" in opts.quantities:
+    if "entropy" in config.quantities:
         tables["entropy"] = _entropy_series(
-            spec, opts, states, subset, p_tot_true, shot_files, quiet
+            config, states, subset, p_tot_true, shot_files, quiet
         )
-    if "twist" in opts.quantities or "berry" in opts.quantities:
+    if "twist" in config.quantities or "berry" in config.quantities:
         tables["twist"], tables["berry"] = _twist_series(
-            spec, opts, states, initial_state, p_tot_true, shot_files
+            config, states, initial_state, p_tot_true, shot_files
         )
 
     for name, header in TABLE_HEADERS.items():
-        if name in opts.quantities:
+        if name in config.quantities:
             _write_table(out_dir / f"{name}.csv", header, tables[name])
-    if opts.save_shots and shot_files:
+    if config.save_shots and shot_files:
         shots_dir = out_dir / "shots"
         shots_dir.mkdir(exist_ok=True)
         for name, text in shot_files.items():
@@ -251,53 +248,50 @@ def run_randomized_measurements(
     ]
 
 
-def _entropy_series(
-    spec, opts, states, subset, p_tot_true, shot_files, quiet
-) -> list[tuple]:
+def _entropy_series(config, states, subset, p_tot_true, shot_files, quiet) -> list[tuple]:
     """Rows of ``entropy.csv``; fills ``shot_files`` when shots are saved."""
-    if opts.exact_probabilities:
+    if config.exact_probabilities:
         return [
             (
                 t,
                 renyi2(purity(state, subset)),
                 float("nan"),
-                _oracle_entropy(spec, opts.subsystem, subset, state, t),
+                _oracle_entropy(config, subset, state, t),
                 0.0,
                 ("exact_mode", "no_mitigation"),
             )
-            for t, state in zip(spec.times, states)
+            for t, state in zip(config.times, states)
         ]
 
-    mitigate_on = opts.mitigation_enabled(spec.noise)
-    full = tuple(range(spec.num_sites))
-    tasks = [
-        (t_idx, u) for t_idx in range(len(spec.times)) for u in range(1, spec.num_unitaries + 1)
-    ]
+    mitigate_on = config.mitigation_enabled()
+    full = tuple(range(config.num_sites))
+    rounds = config.num_unitaries
+    tasks = [(t_idx, u) for t_idx in range(len(states)) for u in range(1, rounds + 1)]
 
     def one_round(t_idx: int, u: int):
-        rng = child_generator(spec.seed, ENTROPY_STREAM, t_idx, u)
+        rng = child_generator(config.seed, ENTROPY_STREAM, t_idx, u)
         table = _random_round(
-            states[t_idx], u, spec.num_shots, rng, p_tot_true, spec.noise.readout_flip
+            states[t_idx], u, config.num_shots, rng, p_tot_true, config.readout_flip
         )
         sub_vec = marginal_counts(table, subset)
-        x_unbiased = purity_statistic(sub_vec, spec.num_shots, "unbiased")
-        x_plugin = purity_statistic(sub_vec, spec.num_shots, "plugin")
+        x_unbiased = purity_statistic(sub_vec, config.num_shots, "unbiased")
+        x_plugin = purity_statistic(sub_vec, config.num_shots, "plugin")
         x_full = float("nan")
         if mitigate_on:
             x_full = purity_statistic(
-                marginal_counts(table, full), spec.num_shots, opts.estimator
+                marginal_counts(table, full), config.num_shots, config.estimator
             )
-        shots = _nonzero(table.counts) if opts.save_shots else None
+        shots = _nonzero(table.counts) if config.save_shots else None
         return x_unbiased, x_plugin, x_full, shots
 
-    results = _parallel_map(one_round, tasks, opts.threads)
+    results = _parallel_map(one_round, tasks, config.threads)
 
     rows: list[tuple] = []
-    for t_idx, t in enumerate(spec.times):
-        chunk = results[t_idx * spec.num_unitaries : (t_idx + 1) * spec.num_unitaries]
+    for t_idx, t in enumerate(config.times):
+        chunk = results[t_idx * rounds : (t_idx + 1) * rounds]
         unbiased = round_average([r[0] for r in chunk])
         plugin = round_average([r[1] for r in chunk])
-        est = unbiased if opts.estimator == "unbiased" else plugin
+        est = unbiased if config.estimator == "unbiased" else plugin
         raw = renyi2(est.value)
         sigma = (
             est.sigma / (est.value * np.log(2.0)) if est.value > 0.0 else float("nan")
@@ -309,7 +303,7 @@ def _entropy_series(
         mitigated = float("nan")
         if mitigate_on:
             full_purity = float(np.mean([r[2] for r in chunk]))
-            p_fit = estimate_p_tot_from_full_purity(full_purity, spec.num_sites)
+            p_fit = estimate_p_tot_from_full_purity(full_purity, config.num_sites)
             if p_fit.clamped:
                 flags.append("p_tot_clamped")
             fixed = mitigate_purity(est.value, p_fit.value, len(subset))
@@ -319,11 +313,11 @@ def _entropy_series(
         else:
             flags.append("no_mitigation")
 
-        oracle = _oracle_entropy(spec, opts.subsystem, subset, states[t_idx], t)
+        oracle = _oracle_entropy(config, subset, states[t_idx], t)
         rows.append((t, raw, mitigated, oracle, float(sigma), tuple(flags)))
-        if opts.save_shots:
+        if config.save_shots:
             shot_files[f"entropy_t{t_idx:04d}.txt"] = _shot_file(
-                spec, spec.num_unitaries, enumerate((r[3] for r in chunk), start=1)
+                config, rounds, enumerate((r[3] for r in chunk), start=1)
             )
         if not quiet:
             print(
@@ -331,11 +325,11 @@ def _entropy_series(
                 f"S_plugin={renyi2(plugin.value): .4f}  oracle={oracle: .4f}"
             )
 
-    if opts.shift_mode != "none":
+    if config.shift_mode != "none":
         # the mitigated column holds the shifted mitigated series, or the
         # shifted raw series when mitigation is off
         base = np.array([row[2] if mitigate_on else row[1] for row in rows])
-        aligned, _offset = shift_align(base, opts.shift_mode)
+        aligned, _offset = shift_align(base, config.shift_mode)
         rows = [
             (t, raw, float(v), oracle, sigma, flags + ("shifted",))
             for (t, raw, _m, oracle, sigma, flags), v in zip(rows, aligned)
@@ -343,7 +337,7 @@ def _entropy_series(
     return rows
 
 
-def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
+def _twist_series(config, states, initial_state, p_tot_true, shot_files):
     """Rows of ``twist.csv`` and ``berry.csv``; fills ``shot_files`` when saved.
 
     With exact probabilities the raw and postselected columns repeat the
@@ -353,45 +347,34 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
     twist_rows: list[tuple] = []
     berry_rows: list[tuple] = []
 
-    for t_idx, (t, state) in enumerate(zip(spec.times, states)):
+    for t_idx, (t, state) in enumerate(zip(config.times, states)):
         z_exact = exact_twist(state, q=1, kind="spin").z
         exact_point = berry_phase(exact_twist(state, q=2, kind="particle"), reference)
         gamma_exact = exact_point.gamma
         flags = [] if exact_point.reliable else ["exact_unreliable"]
 
-        if opts.exact_probabilities:
+        if config.exact_probabilities:
             z_raw = z_post = z_exact
             gamma_raw = gamma_post = gamma_exact
         else:
-            rng = child_generator(spec.seed, TWIST_STREAM, t_idx)
+            rng = child_generator(config.seed, TWIST_STREAM, t_idx)
             keys, vals = _nonzero(
-                _measure(state, spec.num_shots, p_tot_true, spec.noise.readout_flip, rng)
+                _measure(state, config.num_shots, p_tot_true, config.readout_flip, rng)
             )
             counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
-            kept = postselect_half_filling(counts, spec.num_sites)
-
-            z_raw = twist_order_parameter(counts, spec.num_sites, q=1).z
-            raw_point = berry_phase(
-                particle_twist_amplitude(counts, spec.num_sites, q=2), reference
-            )
-            gamma_raw = raw_point.gamma
-            if not raw_point.reliable:
-                flags.append("raw_unreliable")
+            kept = postselect_half_filling(counts, config.num_sites)
+            z_raw, gamma_raw = _twist_point(counts, config.num_sites, reference, "raw", flags)
             if kept:
-                z_post = twist_order_parameter(kept, spec.num_sites, q=1).z
-                post_point = berry_phase(
-                    particle_twist_amplitude(kept, spec.num_sites, q=2), reference
+                z_post, gamma_post = _twist_point(
+                    kept, config.num_sites, reference, "post", flags
                 )
-                gamma_post = post_point.gamma
-                if not post_point.reliable:
-                    flags.append("post_unreliable")
             else:
                 z_post = complex(float("nan"), float("nan"))
                 gamma_post = float("nan")
                 flags.append("post_empty")
-            if opts.save_shots:
+            if config.save_shots:
                 shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(
-                    spec, 1, [(0, (keys, vals))]
+                    config, 1, [(0, (keys, vals))]
                 )
 
         twist_rows.append(
@@ -401,21 +384,33 @@ def _twist_series(spec, opts, states, initial_state, p_tot_true, shot_files):
     return twist_rows, berry_rows
 
 
+def _twist_point(counts, num_sites: int, reference: float, column: str, flags: list):
+    """Spin twist z at q = 1 and Berry angle of the particle twist at q = 2.
+
+    Appends ``<column>_unreliable`` to ``flags`` when the angle is.
+    """
+    z = twist_order_parameter(counts, num_sites, q=1).z
+    point = berry_phase(particle_twist_amplitude(counts, num_sites, q=2), reference)
+    if not point.reliable:
+        flags.append(f"{column}_unreliable")
+    return z, point.gamma
+
+
 def _nonzero(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indices, counts) of the outcomes seen, indices ascending."""
     keys = np.flatnonzero(counts)
     return keys, counts[keys]
 
 
-def _shot_file(spec, num_unitaries: int, rounds) -> str:
+def _shot_file(config, num_unitaries: int, rounds) -> str:
     """Shot-table text: a header, then "u bits count" per (u, ``_nonzero``) round."""
     lines = [
-        f"# L={spec.num_sites} N_U={num_unitaries} "
-        f"N_M={spec.num_shots} seed={spec.seed}\n"
+        f"# L={config.num_sites} N_U={num_unitaries} "
+        f"N_M={config.num_shots} seed={config.seed}\n"
     ]
     for u, (keys, vals) in rounds:
         lines += [
-            f"{u} {index_to_bits(key, spec.num_sites)} {count}\n"
+            f"{u} {index_to_bits(key, config.num_sites)} {count}\n"
             for key, count in zip(keys.tolist(), vals.tolist())
         ]
     return "".join(lines)

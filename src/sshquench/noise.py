@@ -28,22 +28,6 @@ import numpy as np
 from .state import pack_bits
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise configuration: per-layer depolarizing and readout flip rates."""
-
-    p_layer: float = 0.0
-    readout_flip: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_layer <= 1.0:
-            raise ValueError(f"p_layer must be in [0, 1], got {self.p_layer}")
-        if not 0.0 <= self.readout_flip <= 0.5:
-            raise ValueError(
-                f"readout_flip must be in [0, 0.5], got {self.readout_flip}"
-            )
-
-
 def effective_p_tot(p_layer: float, num_layers: int) -> float:
     """Total error probability of ``num_layers`` depolarizing layers."""
     if not 0.0 <= p_layer <= 1.0:

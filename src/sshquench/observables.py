@@ -68,15 +68,21 @@ class TwistResult:
         return float(np.angle(self.z))
 
 
-def _twist_from_counts(
-    counts: dict[int, int], num_sites: int, q: int, kind: str
-) -> TwistResult:
+def _count_arrays(counts: dict[int, int], num_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices and counts of a nonempty counts dict, indices in the register."""
     if not counts:
         raise ValueError("empty counts")
     keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     vals = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    if keys.size and (keys.min() < 0 or keys.max() >= (1 << num_sites)):
+    if keys.min() < 0 or keys.max() >= (1 << num_sites):
         raise ValueError("bitstring outside the register")
+    return keys, vals
+
+
+def _twist_from_counts(
+    counts: dict[int, int], num_sites: int, q: int, kind: str
+) -> TwistResult:
+    keys, vals = _count_arrays(counts, num_sites)
     weighted = _weighted_occupation_of(keys, num_sites)
     phases = _phase_angles(weighted, num_sites, q, kind)
     return TwistResult(complex(np.sum(vals * np.exp(1j * phases)) / vals.sum()))
@@ -119,12 +125,9 @@ def postselect_half_filling(counts: dict[int, int], num_sites: int) -> dict[int,
     """
     if num_sites % 2:
         raise ValueError("half filling needs an even chain length")
-    half = num_sites // 2
-    if not counts:
-        raise ValueError("empty counts")
-    keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    kept = keys[sum(qubit_bits(keys, num_sites)) == half]
-    return {int(k): counts[int(k)] for k in kept}
+    keys, _vals = _count_arrays(counts, num_sites)
+    kept = keys[sum(qubit_bits(keys, num_sites)) == num_sites // 2]
+    return {k: counts[k] for k in kept.tolist()}
 
 
 @dataclass(frozen=True)

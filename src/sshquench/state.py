@@ -21,13 +21,12 @@ one product over all of them once there are many and each is short. The
 rule comes from per-gate timings of both forms on every qubit at L = 8, 12
 and 16 (``scripts/bench_stages.py``, ``gate1q`` in ``BENCH_12.json``),
 where it picks the faster form on every qubit that has both timed (R <= 64;
-the kron form's cost grows with R beyond that). The kron form replaced a
-strided form, two elementwise combinations of the two halves, whose
-2^L-sized temporaries cost 1.6-2.3 ms per gate on q = 11..15 of L = 16
-against 0.27-0.62 ms for the product. The forms differ only in the last bit of an amplitude
-(at most 3e-17 on random normalized states at L = 8, 12 and 16), and no
-output file of ``scripts/output_digests.py`` moved when the kron form came
-in. A two-qubit gate moves its two axes to the front and multiplies the
+the kron form's cost grows with R beyond that). An elementwise form, two
+combinations of the two halves, is not used: its 2^L-sized temporaries cost
+1.6-2.3 ms per gate on q = 11..15 of L = 16 against 0.27-0.62 ms for the
+kron product. The two forms used differ only in the last bit of an
+amplitude (at most 3e-17 on random normalized states at L = 8, 12 and 16).
+A two-qubit gate moves its two axes to the front and multiplies the
 (4, 2^(L-2)) view by its 4x4 matrix.
 
 Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs

@@ -4,7 +4,7 @@ Everything here is deliberately independent of the package internals:
 operators are built as full kron-product matrices, evolution uses
 scipy.linalg.expm, and the randomized-measurement pair expectation is
 evaluated by exact Haar integration (two-copy twirl). These serve as the
-oracles that the fast strided implementations are checked against.
+oracles that the fast implementations are checked against.
 """
 from __future__ import annotations
 

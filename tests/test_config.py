@@ -1,4 +1,5 @@
 """Config parsing, validation, formatting, and subsystem resolution."""
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,15 +17,11 @@ from sshquench.config import (
     SHIFT_MODES,
     ConfigError,
     ExperimentConfig,
-    QuenchSpec,
-    RunOptions,
     default_output_dir,
     format_config,
     parse_config_text,
     resolve_subsystem,
-    with_overrides,
 )
-from sshquench.noise import NoiseSpec
 from sshquench.state import CapacityError
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
@@ -35,30 +32,30 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 class TestParsing:
     def test_defaults(self):
         cfg = parse_config_text(MINIMAL)
-        spec, opts = cfg.spec, cfg.options
-        assert spec.num_sites == 8
-        assert spec.boundary == "pbc"
-        assert spec.num_unitaries == 100
-        assert spec.num_shots == 4096
-        assert spec.noise.p_layer == 0.0
-        assert len(spec.times) == 30
-        assert spec.times[0] == 0.0
-        assert opts.quantities == ("entropy",)
-        assert opts.estimator == "unbiased"
-        assert opts.threads == 1
+        assert cfg.num_sites == 8
+        assert cfg.boundary == "pbc"
+        assert cfg.num_unitaries == 100
+        assert cfg.num_shots == 4096
+        assert cfg.p_layer == 0.0
+        assert len(cfg.times) == 30
+        assert cfg.times[0] == 0.0
+        assert cfg.quantities == ("entropy",)
+        assert cfg.estimator == "unbiased"
+        assert cfg.threads == 1
+        assert cfg.out_dir is None
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("# leading comment\n\nL = 4 # inline\ninitial = singlet\n")
-        assert cfg.spec.num_sites == 4
-        assert cfg.spec.initial == "singlet"
+        assert cfg.num_sites == 4
+        assert cfg.initial == "singlet"
 
     def test_explicit_times(self):
         cfg = parse_config_text(MINIMAL + "times = 0, 0.1, 0.25\n")
-        assert cfg.spec.times == (0.0, 0.1, 0.25)
+        assert cfg.times == (0.0, 0.1, 0.25)
 
     def test_linspace_grid(self):
         cfg = parse_config_text(MINIMAL + "t_max = 1.0\nt_points = 5\n")
-        np.testing.assert_allclose(cfg.spec.times, np.linspace(0, 1, 5))
+        np.testing.assert_allclose(cfg.times, np.linspace(0, 1, 5))
 
     def test_times_exclusive_with_linspace(self):
         with pytest.raises(ConfigError):
@@ -99,22 +96,42 @@ class TestParsing:
             "shift_mode = up",
             "mitigate = maybe",
         ):
-            with pytest.raises((ConfigError, Exception)):
-                parse_config_text("L = 8\n" + line + "\ninitial = neel\n")
+            key = line.split(" = ")[0]
+            rest = "" if key == "initial" else "initial = neel\n"
+            with pytest.raises(ConfigError, match=f"^{key} must be") as err:
+                parse_config_text(f"L = 8\n{line}\n{rest}")
+            assert err.value.line == 2, line
 
     def test_symmetric_bipartition_needs_multiple_of_four(self):
         with pytest.raises(ConfigError, match="divisible by 4"):
             parse_config_text("L = 6\ninitial = neel\n")
         # twist-only runs have no bipartition constraint
         cfg = parse_config_text("L = 6\ninitial = neel\nquantities = twist\n")
-        assert cfg.spec.num_sites == 6
+        assert cfg.num_sites == 6
 
     def test_noise_keys(self):
         cfg = parse_config_text(MINIMAL + "p_layer = 0.01\nreadout_flip = 0.02\n")
-        assert cfg.spec.noise.p_layer == 0.01
-        assert cfg.spec.noise.readout_flip == 0.02
-        with pytest.raises(ConfigError):
-            parse_config_text(MINIMAL + "p_layer = 1.5\n")
+        assert cfg.p_layer == 0.01
+        assert cfg.readout_flip == 0.02
+        edges = parse_config_text(MINIMAL + "p_layer = 1\nreadout_flip = 0.5\n")
+        assert (edges.p_layer, edges.readout_flip) == (1.0, 0.5)
+        for line, message in (
+            ("p_layer = 1.5", "p_layer must be in [0, 1], got 1.5"),
+            ("p_layer = -0.1", "p_layer must be in [0, 1], got -0.1"),
+            ("p_layer = nan", "p_layer must be in [0, 1], got nan"),
+            ("readout_flip = 0.6", "readout_flip must be in [0, 0.5], got 0.6"),
+            ("readout_flip = -0.01", "readout_flip must be in [0, 0.5], got -0.01"),
+            ("readout_flip = nan", "readout_flip must be in [0, 0.5], got nan"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(f"L = 8\n# noise\n{line}\ninitial = neel\n")
+            assert str(err.value) == message
+            assert err.value.line == 3, line
+
+    def test_bad_subsystem_reports_line(self):
+        with pytest.raises(ConfigError, match="1..8") as err:
+            parse_config_text(MINIMAL + "subsystem = 0,1\n")
+        assert err.value.line == 3
 
     @pytest.mark.parametrize(
         "line", ["times = 0, nan", "times = 0, inf", "t_max = nan", "t_max = inf"]
@@ -128,12 +145,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seed must be >= 0") as err:
             parse_config_text(MINIMAL + "seed = -3\n")
         assert err.value.line == 3
-        assert parse_config_text(MINIMAL + "seed = 0\n").spec.seed == 0
+        assert parse_config_text(MINIMAL + "seed = 0\n").seed == 0
 
     def test_booleans(self):
         cfg = parse_config_text(MINIMAL + "save_shots = true\nexact_probabilities = false\n")
-        assert cfg.options.save_shots is True
-        assert cfg.options.exact_probabilities is False
+        assert cfg.save_shots is True
+        assert cfg.exact_probabilities is False
         with pytest.raises(ConfigError):
             parse_config_text(MINIMAL + "save_shots = sometimes\n")
 
@@ -163,38 +180,56 @@ class TestSubsystem:
 
 class TestOverrides:
     def test_seed_threads_exact(self):
-        cfg = parse_config_text(MINIMAL)
-        new = with_overrides(cfg, seed=777, threads=4, exact_probabilities=True)
-        assert new.spec.seed == 777
-        assert new.options.threads == 4
-        assert new.options.exact_probabilities is True
+        overrides = {"seed": "777", "threads": "4", "exact_probabilities": "true"}
+        new = parse_config_text(MINIMAL + "seed = 5\n", overrides)
+        assert new.seed == 777
+        assert new.threads == 4
+        assert new.exact_probabilities is True
         # untouched fields survive
-        assert new.spec.num_sites == 8
+        assert new.num_sites == 8
+        assert replace(new, seed=1234, threads=1, exact_probabilities=False) == (
+            parse_config_text(MINIMAL)
+        )
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed must be >= 0"):
-            with_overrides(parse_config_text(MINIMAL), seed=-7)
+        with pytest.raises(ConfigError, match="seed must be >= 0") as err:
+            parse_config_text(MINIMAL, {"seed": "-7"})
+        assert err.value.line is None
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"threads": "0"}, "threads must be >= 1"),
+            ({"threads": "two"}, "threads must be an integer"),
+            ({"exact_probabilities": "maybe"}, "exact_probabilities must be true or false"),
+            ({"bogus": "1"}, "unknown key 'bogus'"),
+            ({"seed": " "}, "seed has no value"),
+            ({"times": "0, 0.5"}, "either an explicit 'times' list"),
+        ],
+    )
+    def test_overrides_checked_like_lines(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)) as err:
+            parse_config_text(MINIMAL + "t_max = 1\n", overrides)
+        assert err.value.line is None
 
     def test_output_root_resolution(self, monkeypatch):
         cfg = parse_config_text(MINIMAL)
         monkeypatch.delenv("SSHQUENCH_OUT", raising=False)
-        assert default_output_dir("exp/alpha.conf", cfg.options) == Path("runs/alpha")
+        assert default_output_dir("exp/alpha.conf", cfg) == Path("runs/alpha")
         monkeypatch.setenv("SSHQUENCH_OUT", "/data/results")
-        assert default_output_dir("exp/alpha.conf", cfg.options) == Path(
-            "/data/results/alpha"
-        )
+        assert default_output_dir("exp/alpha.conf", cfg) == Path("/data/results/alpha")
         cfg_out = parse_config_text(MINIMAL + "out = custom/place\n")
-        assert default_output_dir("exp/alpha.conf", cfg_out.options) == Path(
-            "custom/place"
-        )
+        assert default_output_dir("exp/alpha.conf", cfg_out) == Path("custom/place")
 
     def test_mitigation_mode_resolution(self):
         cfg = parse_config_text(MINIMAL + "p_layer = 0.01\n")
-        assert cfg.options.mitigation_enabled(cfg.spec.noise)
+        assert cfg.mitigation_enabled()
         cfg2 = parse_config_text(MINIMAL)
-        assert not cfg2.options.mitigation_enabled(cfg2.spec.noise)
+        assert not cfg2.mitigation_enabled()
         cfg3 = parse_config_text(MINIMAL + "mitigate = on\n")
-        assert cfg3.options.mitigation_enabled(cfg3.spec.noise)
+        assert cfg3.mitigation_enabled()
+        cfg4 = parse_config_text(MINIMAL + "p_layer = 0.01\nmitigate = off\n")
+        assert not cfg4.mitigation_enabled()
 
 
 @st.composite
@@ -202,28 +237,25 @@ def configs(draw):
     """Valid configurations with full-precision floats and no ``out``."""
     finite = {"allow_nan": False, "allow_infinity": False}
     times = draw(st.lists(st.floats(0.0, 1e3, **finite), min_size=1, max_size=6, unique=True))
-    spec = QuenchSpec(
+    return ExperimentConfig(
         num_sites=draw(st.sampled_from((4, 8, 12, 16))),
         boundary=draw(st.sampled_from(BOUNDARIES)),
         initial=draw(st.sampled_from(INITIALS)),
         times=tuple(sorted(times)),
-        num_unitaries=draw(st.integers(1, 10**6)),
-        num_shots=draw(st.integers(2, 10**9)),
-        noise=NoiseSpec(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5))),
-        seed=draw(st.integers(0, 2**64)),
-    )
-    options = RunOptions(
         quantities=tuple(draw(st.lists(st.sampled_from(QUANTITIES), min_size=1, unique=True))),
         subsystem=draw(st.sampled_from(("half", "bulk", "1", "2,3", "4,1"))),
+        num_unitaries=draw(st.integers(1, 10**6)),
+        num_shots=draw(st.integers(2, 10**9)),
         estimator=draw(st.sampled_from(ESTIMATORS)),
+        p_layer=draw(st.floats(0.0, 1.0)),
+        readout_flip=draw(st.floats(0.0, 0.5)),
+        seed=draw(st.integers(0, 2**64)),
         shift_mode=draw(st.sampled_from(SHIFT_MODES)),
         mitigate=draw(st.sampled_from(MITIGATE_MODES)),
         save_shots=draw(st.booleans()),
         threads=draw(st.integers(1, 64)),
         exact_probabilities=draw(st.booleans()),
-        out_dir=None,
     )
-    return ExperimentConfig(spec, options)
 
 
 class TestFormat:
@@ -239,5 +271,5 @@ class TestFormat:
     )
     def test_shipped_configs_round_trip(self, text):
         config = parse_config_text(text)
-        without_out = replace(config, options=replace(config.options, out_dir=None))
+        without_out = replace(config, out_dir=None)
         assert parse_config_text(format_config(config)) == without_out

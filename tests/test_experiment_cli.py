@@ -61,9 +61,9 @@ class TestRunOutputs:
         out = tmp_path / "out"
         main(["run", str(conf), "--out", str(out), "--quiet"])
         cfg = parse_config(out / "manifest.txt")
-        assert cfg.spec.num_sites == 4
-        assert cfg.spec.seed == 4242
-        assert len(cfg.spec.times) == 3
+        assert cfg.num_sites == 4
+        assert cfg.seed == 4242
+        assert len(cfg.times) == 3
 
     def test_oracle_column_tracks_closed_form(self, tmp_path):
         conf = _write_config(tmp_path, SMALL)
@@ -343,6 +343,13 @@ class TestCliErrors:
         out = tmp_path / "out"
         assert main(["run", str(conf), "--out", str(out), "--seed", "-7", "--quiet"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_threads_flag_exit_two(self, tmp_path, capsys):
+        conf = _write_config(tmp_path, "L = 4\ninitial = neel\nn_unitaries = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--threads", "0", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: threads must be >= 1\n"
         assert not out.exists()
 
     def test_missing_config_exit_two(self, tmp_path):

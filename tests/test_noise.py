@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshquench.noise import (
-    NoiseSpec,
     apply_depolarizing,
     effective_p_tot,
     estimate_p_tot_from_full_purity,
@@ -14,14 +13,6 @@ from sshquench.noise import (
     mitigate_purity,
     shift_align,
 )
-
-
-class TestNoiseSpec:
-    def test_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(p_layer=1.2)
-        with pytest.raises(ValueError):
-            NoiseSpec(readout_flip=0.6)
 
 
 class TestEffectivePTot:

@@ -203,6 +203,13 @@ class TestPostselection:
         with pytest.raises(ValueError):
             postselect_half_filling({0: 1}, 3)
 
+    @pytest.mark.parametrize("counts", [{19: 1, 3: 2}, {-13: 1}, {16: 4}])
+    def test_keys_outside_register_rejected_like_twist(self, counts):
+        # 19 = 0b10011 and -13 pass a weight-2 test on their low four bits
+        for estimator in (postselect_half_filling, twist_order_parameter):
+            with pytest.raises(ValueError, match="bitstring outside the register"):
+                estimator(counts, 4)
+
     def test_improves_twist_under_readout_noise(self):
         # 2% flips: postselected spin twist tracks the exact curve closer
         # than the raw one in L2 distance over the grid
