@@ -1,14 +1,19 @@
 """Experiment configuration: one flat dataclass and the plain-text config format.
 
-A config file is line-oriented ``key = value`` text; ``#`` starts a comment,
-blank lines are skipped, unknown or duplicate keys are errors. The full key
-schema is documented in the package README. Semantic validation failures
-carry the line number of the offending key so the CLI can print
-``file:line: message``; overrides passed beside the text are checked by the
-same rules and carry no line. ``format_config`` is the parser's inverse.
+``ExperimentConfig`` checks its own fields on construction against one key
+table, ``_KEYS``, so a config built in code or by ``dataclasses.replace``
+passes the same rules as a parsed one. A config file is line-oriented
+``key = value`` text; ``#`` starts a comment, blank lines are skipped,
+unknown or duplicate keys are errors. The full key schema is documented in
+the package README. Every ``ConfigError`` about a key names it in ``.key``;
+the parser adds the key's ``.line`` when the key came from the text, so the
+CLI can print ``file:line: message``. Overrides passed beside the text are
+checked by the same rules and carry no line. ``format_config`` is the
+parser's inverse.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,18 +33,21 @@ OUTPUT_ROOT_ENV = "SSHQUENCH_OUT"
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; carries the source line when known."""
+    """Invalid configuration; carries the key it concerns and, when parsed, its line."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, *, key: str | None = None):
         super().__init__(message)
         self.line = line
+        self.key = key
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings, a field per config key.
+    """One run's settings, a field per config key, checked on construction.
 
     ``t_max`` and ``t_points`` resolve to ``times``; ``out`` sets ``out_dir``.
+    A config built in code, or by ``dataclasses.replace``, passes the same
+    rules as a parsed one and raises the same ``ConfigError``.
     """
 
     num_sites: int
@@ -61,88 +69,135 @@ class ExperimentConfig:
     exact_probabilities: bool
     out_dir: str | None = None
 
+    def __post_init__(self):
+        if self.num_sites > MAX_QUBITS:
+            raise CapacityError(
+                f"L = {self.num_sites} exceeds the dense statevector cap of {MAX_QUBITS}"
+            )
+        if self.num_sites < 4 or self.num_sites % 2:
+            raise ConfigError(f"L must be even and >= 4, got {self.num_sites}", key="L")
+        for key, (_default, field, rule) in _KEYS.items():
+            if field is not None and isinstance(rule, tuple):
+                _check(key, getattr(self, field))
+
+        times = self.times
+        if not all(np.isfinite(times)):
+            raise ConfigError("times must be finite", key="times")
+        if any(t < 0 for t in times):
+            raise ConfigError("times must be nonnegative", key="times")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError("times must be strictly increasing", key="times")
+
+        for q in self.quantities:
+            if q not in QUANTITIES:
+                raise ConfigError(
+                    f"quantities must be from {', '.join(QUANTITIES)}; got {q!r}",
+                    key="quantities",
+                )
+        if len(set(self.quantities)) != len(self.quantities):
+            raise ConfigError("duplicate quantity", key="quantities")
+
+        resolve_subsystem(self.subsystem, self.num_sites)
+        if (
+            "entropy" in self.quantities
+            and self.subsystem in ("half", "bulk")
+            and self.num_sites % 4
+        ):
+            raise ConfigError(
+                "symmetric-bipartition entropy needs L divisible by 4", key="L"
+            )
+
     def mitigation_enabled(self) -> bool:
         if self.mitigate == "auto":
             return self.p_layer > 0.0
         return self.mitigate == "on"
 
 
-_Entries = dict[str, tuple[str, int | None]]  # key: (value text, line or None)
-
 # Every key of the format, in the order format_config writes them: its
-# default text (None: required, or unset unless given) and the config field
-# it sets (None: not written back; t_max and t_points are written as times,
-# and an out key would make a re-run write over the run it came from).
+# default text (None: required, or unset unless given), the field it sets
+# (None: not written back; t_max and t_points are written as times, and an
+# out key would make a re-run write over the run it came from) and its rule:
+# the allowed words, or the (low, high) bounds of a number read as the type
+# of low. Keys checked by explicit code have the type read, or None for text.
 _KEYS = {
-    "L": (None, "num_sites"),
-    "boundary": ("pbc", "boundary"),
-    "initial": (None, "initial"),
-    "times": (None, "times"),
-    "t_max": ("0.7853981633974483", None),
-    "t_points": ("30", None),
-    "quantities": ("entropy", "quantities"),
-    "subsystem": ("half", "subsystem"),
-    "n_unitaries": ("100", "num_unitaries"),
-    "n_shots": ("4096", "num_shots"),
-    "estimator": ("unbiased", "estimator"),
-    "p_layer": ("0", "p_layer"),
-    "readout_flip": ("0", "readout_flip"),
-    "seed": ("1234", "seed"),
-    "shift_mode": ("none", "shift_mode"),
-    "mitigate": ("auto", "mitigate"),
-    "save_shots": ("false", "save_shots"),
-    "threads": ("1", "threads"),
-    "exact_probabilities": ("false", "exact_probabilities"),
-    "out": (None, None),
+    "L": (None, "num_sites", int),
+    "boundary": ("pbc", "boundary", BOUNDARIES),
+    "initial": (None, "initial", INITIALS),
+    "times": (None, "times", None),
+    "t_max": ("0.7853981633974483", None, float),
+    "t_points": ("30", None, (1, math.inf)),
+    "quantities": ("entropy", "quantities", None),
+    "subsystem": ("half", "subsystem", None),
+    "n_unitaries": ("100", "num_unitaries", (1, math.inf)),
+    "n_shots": ("4096", "num_shots", (2, math.inf)),
+    "estimator": ("unbiased", "estimator", ESTIMATORS),
+    "p_layer": ("0", "p_layer", (0.0, 1.0)),
+    "readout_flip": ("0", "readout_flip", (0.0, 0.5)),
+    "seed": ("1234", "seed", (0, math.inf)),
+    "shift_mode": ("none", "shift_mode", SHIFT_MODES),
+    "mitigate": ("auto", "mitigate", MITIGATE_MODES),
+    "save_shots": ("false", "save_shots", bool),
+    "threads": ("1", "threads", (1, math.inf)),
+    "exact_probabilities": ("false", "exact_probabilities", bool),
+    "out": (None, None, None),
 }
 
 _REQUIRED_KEYS = ("L", "initial")
 
-_CHOICES = {
-    "boundary": BOUNDARIES,
-    "initial": INITIALS,
-    "estimator": ESTIMATORS,
-    "shift_mode": SHIFT_MODES,
-    "mitigate": MITIGATE_MODES,
-}
 
-# lower bounds of the integer keys other than L
-_MINIMA = {"t_points": 1, "n_unitaries": 1, "n_shots": 2, "seed": 0, "threads": 1}
+def _check(key: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` keeps the rule of ``key``."""
+    rule = _KEYS[key][2]
+    if isinstance(rule[0], str):
+        if value not in rule:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(rule)}; got {value!r}", key=key
+            )
+        return
+    low, high = rule
+    if not low <= value <= high:
+        if high == math.inf:
+            raise ConfigError(f"{key} must be >= {low}", key=key)
+        raise ConfigError(f"{key} must be in [{low:g}, {high:g}], got {value}", key=key)
 
-# closed ranges of the probability keys
-_RANGES = {"p_layer": (0.0, 1.0), "readout_flip": (0.0, 0.5)}
 
-
-def _parse_bool(raw: str, line: int | None, key: str) -> bool:
+def _parse_bool(raw: str, key: str) -> bool:
     if raw.lower() in ("true", "yes", "1"):
         return True
     if raw.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{key} must be true or false, got {raw!r}", line)
+    raise ConfigError(f"{key} must be true or false, got {raw!r}", key=key)
 
 
-def _parse_number(kind, raw: str, line: int | None, key: str) -> int | float:
+def _parse_number(kind, raw: str, key: str) -> int | float:
     """``kind(raw)`` for ``kind`` int or float."""
     try:
         return kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {raw!r}", line) from None
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}", key=key) from None
 
 
-def _entry(key: str, value: str, line: int | None) -> tuple[str, int | None]:
-    if key not in _KEYS:
-        raise ConfigError(f"unknown key {key!r}", line)
-    if not value:
-        raise ConfigError(f"{key} has no value", line)
-    return value, line
+def _read(key: str, raw: str):
+    """Typed value of one key's text: a bool or number where its rule says so."""
+    rule = _KEYS[key][2]
+    kind = type(rule[0]) if isinstance(rule, tuple) else rule
+    if kind is bool:
+        return _parse_bool(raw, key)
+    if kind in (int, float):
+        return _parse_number(kind, raw, key)
+    return raw
 
 
 def parse_config_text(
     text: str, overrides: dict[str, str] | None = None
 ) -> ExperimentConfig:
-    """Config of ``text``, with ``overrides`` (key: value text) replacing its lines."""
-    entries: _Entries = {}
+    """Config of ``text``, with ``overrides`` (key: value text) replacing its lines.
+
+    A ``ConfigError`` about a key read from ``text`` carries that key's line.
+    """
+    given: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         content = rawline.split("#", 1)[0].strip()
         if not content:
@@ -150,21 +205,58 @@ def parse_config_text(
         if "=" not in content:
             raise ConfigError(f"expected 'key = value', got {content!r}", lineno)
         key, value = (part.strip() for part in content.split("=", 1))
-        if key in entries:
+        if key in lines:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        entries[key] = _entry(key, value, lineno)
+        given[key], lines[key] = value, lineno
     for key, value in (overrides or {}).items():
-        entries[key] = _entry(key, value.strip(), None)
+        given[key] = value.strip()
+        lines.pop(key, None)
+    try:
+        return ExperimentConfig(**_fields(given))
+    except ConfigError as exc:
+        if exc.line is None:
+            exc.line = lines.get(exc.key)
+        raise
+
+
+def _fields(given: dict[str, str]) -> dict:
+    """``ExperimentConfig`` keyword arguments of the given key texts."""
+    for key, value in given.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}", key=key)
+        if not value:
+            raise ConfigError(f"{key} has no value", key=key)
     for key in _REQUIRED_KEYS:
-        if key not in entries:
+        if key not in given:
             raise ConfigError(f"missing required key {key!r}")
-    if "times" in entries and ("t_max" in entries or "t_points" in entries):
+    if "times" in given and ("t_max" in given or "t_points" in given):
         raise ConfigError(
             "give either an explicit 'times' list or 't_max'/'t_points', not both",
-            entries["times"][1],
+            key="times",
         )
-    defaults = {key: (d, None) for key, (d, _field) in _KEYS.items() if d is not None}
-    return _build_config({**defaults, **entries})
+    defaults = {key: d for key, (d, _field, _rule) in _KEYS.items() if d is not None}
+    values = {key: _read(key, raw) for key, raw in {**defaults, **given}.items()}
+    if "times" not in given:
+        if not 0.0 < values["t_max"] < np.inf:
+            raise ConfigError("t_max must be positive and finite", key="t_max")
+        _check("t_points", values["t_points"])
+        grid = np.linspace(0.0, values["t_max"], values["t_points"])
+        values["times"] = tuple(float(t) for t in grid)
+    else:
+        try:
+            values["times"] = tuple(float(x) for x in values["times"].split(","))
+        except ValueError:
+            raise ConfigError(
+                "times must be comma-separated numbers", key="times"
+            ) from None
+    values["quantities"] = tuple(q.strip() for q in values["quantities"].split(","))
+    values["subsystem"] = values["subsystem"].replace(" ", "")
+    fields = {
+        field: values[key]
+        for key, (_default, field, _rule) in _KEYS.items()
+        if field is not None
+    }
+    return {**fields, "out_dir": values.get("out")}
 
 
 def parse_config(
@@ -190,123 +282,23 @@ def format_config(config: ExperimentConfig) -> str:
     """Config text that parses back to exactly ``config``, ``out`` aside."""
     return "".join(
         f"{key} = {_value_text(getattr(config, field))}\n"
-        for key, (_default, field) in _KEYS.items()
+        for key, (_default, field, _rule) in _KEYS.items()
         if field is not None
     )
 
 
-def _build_times(entries: _Entries, t_points: int) -> tuple[float, ...]:
-    if "times" in entries:
-        raw, line = entries["times"]
-        try:
-            times = tuple(float(x) for x in raw.split(","))
-        except ValueError:
-            raise ConfigError("times must be comma-separated numbers", line) from None
-        if not all(np.isfinite(times)):
-            raise ConfigError("times must be finite", line)
-    else:
-        line = entries["t_max"][1]
-        t_max = _parse_number(float, *entries["t_max"], "t_max")
-        if not 0.0 < t_max < np.inf:
-            raise ConfigError("t_max must be positive and finite", line)
-        times = tuple(float(t) for t in np.linspace(0.0, t_max, t_points))
-    if any(t < 0 for t in times):
-        raise ConfigError("times must be nonnegative", line)
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("times must be strictly increasing", line)
-    return times
-
-
-def _build_config(entries: _Entries) -> ExperimentConfig:
-    """Typed, validated config from raw (text, line) entries, defaults included."""
-    l_line = entries["L"][1]
-    num_sites = _parse_number(int, *entries["L"], "L")
-    if num_sites > MAX_QUBITS:
-        raise CapacityError(
-            f"L = {num_sites} exceeds the dense statevector cap of {MAX_QUBITS}"
-        )
-    if num_sites < 4 or num_sites % 2:
-        raise ConfigError(f"L must be even and >= 4, got {num_sites}", l_line)
-
-    for key, choices in _CHOICES.items():
-        raw, line = entries[key]
-        if raw not in choices:
-            raise ConfigError(
-                f"{key} must be one of {', '.join(choices)}; got {raw!r}", line
-            )
-    ints: dict[str, int] = {}
-    for key, low in _MINIMA.items():
-        ints[key] = _parse_number(int, *entries[key], key)
-        if ints[key] < low:
-            raise ConfigError(f"{key} must be >= {low}", entries[key][1])
-
-    times = _build_times(entries, ints["t_points"])
-
-    floats: dict[str, float] = {}
-    for key, (low, high) in _RANGES.items():
-        floats[key] = _parse_number(float, *entries[key], key)
-        if not low <= floats[key] <= high:
-            raise ConfigError(
-                f"{key} must be in [{low:g}, {high:g}], got {floats[key]}",
-                entries[key][1],
-            )
-
-    raw, line = entries["quantities"]
-    quantities = tuple(q.strip() for q in raw.split(","))
-    for q in quantities:
-        if q not in QUANTITIES:
-            raise ConfigError(
-                f"quantities must be from {', '.join(QUANTITIES)}; got {q!r}", line
-            )
-    if len(set(quantities)) != len(quantities):
-        raise ConfigError("duplicate quantity", line)
-
-    raw, line = entries["subsystem"]
-    subsystem = raw.replace(" ", "")
-    resolve_subsystem(subsystem, num_sites, line)
-    if "entropy" in quantities and subsystem in ("half", "bulk") and num_sites % 4:
-        raise ConfigError(
-            "symmetric-bipartition entropy needs L divisible by 4", l_line
-        )
-
-    return ExperimentConfig(
-        num_sites=num_sites,
-        boundary=entries["boundary"][0],
-        initial=entries["initial"][0],
-        times=times,
-        quantities=quantities,
-        subsystem=subsystem,
-        num_unitaries=ints["n_unitaries"],
-        num_shots=ints["n_shots"],
-        estimator=entries["estimator"][0],
-        p_layer=floats["p_layer"],
-        readout_flip=floats["readout_flip"],
-        seed=ints["seed"],
-        shift_mode=entries["shift_mode"][0],
-        mitigate=entries["mitigate"][0],
-        save_shots=_parse_bool(*entries["save_shots"], "save_shots"),
-        threads=ints["threads"],
-        exact_probabilities=_parse_bool(
-            *entries["exact_probabilities"], "exact_probabilities"
-        ),
-        out_dir=entries["out"][0] if "out" in entries else None,
-    )
-
-
-def resolve_subsystem(
-    subsystem: str, num_sites: int, line: int | None = None
-) -> tuple[int, ...]:
+def resolve_subsystem(subsystem: str, num_sites: int) -> tuple[int, ...]:
     """0-based qubit indices of a subsystem description.
 
     ``half`` is the first L/2 sites, ``bulk`` the central L/2 sites, and an
     explicit comma list gives 1-based site numbers. A bad description raises
-    ``ConfigError`` at ``line``.
+    ``ConfigError`` for the ``subsystem`` key.
     """
     if subsystem == "half":
         qubits = tuple(range(num_sites // 2))
     elif subsystem == "bulk":
         if num_sites % 4:
-            raise ConfigError("bulk subsystem needs L divisible by 4", line)
+            raise ConfigError("bulk subsystem needs L divisible by 4", key="subsystem")
         qubits = tuple(range(num_sites // 4, 3 * num_sites // 4))
     else:
         try:
@@ -314,14 +306,17 @@ def resolve_subsystem(
         except ValueError:
             raise ConfigError(
                 f"subsystem must be 'half', 'bulk', or 1-based sites, got {subsystem!r}",
-                line,
+                key="subsystem",
             ) from None
         if not sites or len(set(sites)) != len(sites):
             raise ConfigError(
-                "subsystem site list must be nonempty without duplicates", line
+                "subsystem site list must be nonempty without duplicates",
+                key="subsystem",
             )
         if sites[0] < 1 or sites[-1] > num_sites:
-            raise ConfigError(f"subsystem sites must lie in 1..{num_sites}", line)
+            raise ConfigError(
+                f"subsystem sites must lie in 1..{num_sites}", key="subsystem"
+            )
         qubits = tuple(s - 1 for s in sites)
     if len(qubits) > MAX_DENSE_SUBSET:
         raise CapacityError(

@@ -72,6 +72,7 @@ from .randmeas import (
 )
 from .state import (
     MAX_QUBITS,
+    CapacityError,
     QuantumState,
     counts_from_outcomes,
     index_to_bits,
@@ -119,12 +120,8 @@ def _parallel_map(fn, items, threads: int):
     """Bounded parallel map with results gathered in submission order."""
     if threads <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
-    results = [None] * len(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(fn, *item): pos for pos, item in enumerate(items)}
-        for fut, pos in futures.items():
-            results[pos] = fut.result()
-    return results
+        return list(pool.map(fn, *zip(*items)))
 
 
 def run_experiment(
@@ -444,6 +441,12 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
     if not (1 <= num_qubits <= MAX_QUBITS and num_rounds >= 1):
         raise ValueError(
             f"{path}:1: expected 1 <= L <= {MAX_QUBITS} and N_U >= 1, got {lines[0]!r}"
+        )
+    # a dense int64 count vector per round, in all no more than one dense state
+    if num_rounds * (8 << num_qubits) > 16 << MAX_QUBITS:
+        raise CapacityError(
+            f"{path}:1: N_U={num_rounds} rounds of 2^{num_qubits} int64 counts exceed "
+            f"the {(16 << MAX_QUBITS) >> 20} MiB of one dense state at L={MAX_QUBITS}"
         )
     grouped: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(lines[1:], start=2):

@@ -232,6 +232,73 @@ class TestOverrides:
         assert not cfg4.mitigation_enabled()
 
 
+class TestCodeBuilt:
+    """``dataclasses.replace`` is checked by the rules a parsed key passes."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        "fields, overrides, key, message",
+        [
+            ({"boundary": "twisted"}, {"boundary": "twisted"}, "boundary",
+             "boundary must be one of pbc, obc; got 'twisted'"),
+            ({"initial": "ferro"}, {"initial": "ferro"}, "initial",
+             "initial must be one of neel, singlet; got 'ferro'"),
+            ({"estimator": "magic"}, {"estimator": "magic"}, "estimator",
+             "estimator must be one of unbiased, plugin; got 'magic'"),
+            ({"shift_mode": "up"}, {"shift_mode": "up"}, "shift_mode",
+             "shift_mode must be one of none, zero_at_t0, valley_to_zero; got 'up'"),
+            ({"mitigate": "maybe"}, {"mitigate": "maybe"}, "mitigate",
+             "mitigate must be one of auto, on, off; got 'maybe'"),
+            ({"num_unitaries": 0}, {"n_unitaries": "0"}, "n_unitaries",
+             "n_unitaries must be >= 1"),
+            ({"num_shots": 1}, {"n_shots": "1"}, "n_shots", "n_shots must be >= 2"),
+            ({"seed": -1}, {"seed": "-1"}, "seed", "seed must be >= 0"),
+            ({"threads": 0}, {"threads": "0"}, "threads", "threads must be >= 1"),
+            ({"p_layer": 1.5}, {"p_layer": "1.5"}, "p_layer",
+             "p_layer must be in [0, 1], got 1.5"),
+            ({"p_layer": NAN}, {"p_layer": "nan"}, "p_layer",
+             "p_layer must be in [0, 1], got nan"),
+            ({"readout_flip": 0.6}, {"readout_flip": "0.6"}, "readout_flip",
+             "readout_flip must be in [0, 0.5], got 0.6"),
+            ({"readout_flip": NAN}, {"readout_flip": "nan"}, "readout_flip",
+             "readout_flip must be in [0, 0.5], got nan"),
+            ({"num_sites": 7}, {"L": "7"}, "L", "L must be even and >= 4, got 7"),
+            ({"num_sites": 2}, {"L": "2"}, "L", "L must be even and >= 4, got 2"),
+            ({"times": (0.3, 0.1)}, {"times": "0.3, 0.1"}, "times",
+             "times must be strictly increasing"),
+            ({"times": (-0.1, 0.2)}, {"times": "-0.1, 0.2"}, "times",
+             "times must be nonnegative"),
+            ({"times": (0.0, NAN)}, {"times": "0, nan"}, "times", "times must be finite"),
+            ({"quantities": ("entropy", "entropy")}, {"quantities": "entropy, entropy"},
+             "quantities", "duplicate quantity"),
+            ({"quantities": ("entropy", "everything")}, {"quantities": "entropy,everything"},
+             "quantities", "quantities must be from entropy, twist, berry; got 'everything'"),
+            ({"subsystem": "0,1"}, {"subsystem": "0,1"}, "subsystem",
+             "subsystem sites must lie in 1..8"),
+            ({"num_sites": 6, "subsystem": "bulk"}, {"L": "6", "subsystem": "bulk"},
+             "subsystem", "bulk subsystem needs L divisible by 4"),
+            ({"num_sites": 6}, {"L": "6"}, "L",
+             "symmetric-bipartition entropy needs L divisible by 4"),
+        ],
+    )
+    def test_replace_checked_like_parsing(self, fields, overrides, key, message):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(MINIMAL, overrides)
+        with pytest.raises(ConfigError) as built:
+            replace(parse_config_text(MINIMAL), **fields)
+        assert str(built.value) == str(parsed.value) == message
+        assert built.value.key == parsed.value.key == key
+        assert built.value.line is None
+
+    def test_replace_past_the_cap(self):
+        with pytest.raises(CapacityError) as parsed:
+            parse_config_text(MINIMAL, {"L": "26"})
+        with pytest.raises(CapacityError) as built:
+            replace(parse_config_text(MINIMAL), num_sites=26)
+        assert str(built.value) == str(parsed.value)
+
+
 @st.composite
 def configs(draw):
     """Valid configurations with full-precision floats and no ``out``."""

@@ -19,6 +19,7 @@ from sshquench.config import parse_config
 from sshquench.experiment import compare_report, read_shot_tables
 from sshquench.noise import effective_p_tot
 from sshquench.randmeas import estimate_purity
+from sshquench.state import CapacityError
 
 SMALL = """\
 L = 4
@@ -185,6 +186,20 @@ class TestRunOutputs:
         path.write_text(f"{header}\n1 0011 3\n")
         with pytest.raises(ValueError, match="shots.txt:1:"):
             read_shot_tables(path)
+
+    @pytest.mark.parametrize(
+        "num_qubits, num_rounds, refused",
+        [(24, 100, True), (20, 33, True), (20, 32, False)],  # 32 rounds at L=20: 256 MiB
+    )
+    def test_read_shot_tables_refuses_counts_beyond_a_dense_state(
+        self, tmp_path, num_qubits, num_rounds, refused
+    ):
+        # a header alone: refused before any count vector is allocated
+        path = tmp_path / "shots.txt"
+        path.write_text(f"# L={num_qubits} N_U={num_rounds} N_M=3 seed=1\n")
+        with pytest.raises(ValueError, match="shots.txt:1:") as err:
+            read_shot_tables(path)
+        assert isinstance(err.value, CapacityError) is refused
 
     def test_mitigation_improves_noisy_entropy(self, tmp_path):
         conf = _write_config(
