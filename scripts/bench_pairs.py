@@ -16,9 +16,9 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               AFTER's BENCHMARK.json);
   stages      this directory's ``bench_stages.py`` with each checkout's
               ``src`` on the Python path, in 3 pairs: per run and medians,
-              and the medians of the one-qubit gate forms;
-  traced      one ``run.py --trace 1`` of ``rm_l8_mitigated`` per checkout,
-              at the first seed: its per-layer metrics;
+              and the medians of the one- and two-qubit gate forms;
+  traced      one ``run.py --trace 1`` of every workload per checkout, at
+              the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
               the first seed, timed in a fresh interpreter at threads 1 and
               2 in 5 pairs.
@@ -42,7 +42,6 @@ SEEDS = (777, 2718)
 SIDES = ("before", "after")
 SINGLE_THREAD_BLAS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 STAGE_PAIRS = 3
-TRACED_WORKLOAD = "rm_l8_mitigated"
 THREAD_PAIRS = 5
 
 # times ``execute`` of the rm_l16_threads workload config; argv: checkout, seed, threads
@@ -125,18 +124,21 @@ def stages(dirs) -> dict:
         }
         for side in SIDES
     }
-    gate1q = {
-        side: {
-            size: {
-                q: {form: statistics.median(r["gate1q"][size][q][form] for r in runs[side])
-                    for form in forms}
-                for q, forms in qubits.items()
+    gates = {
+        f"{section}_median_s": {
+            side: {
+                size: {
+                    q: {form: statistics.median(r[section][size][q][form] for r in runs[side])
+                        for form in forms}
+                    for q, forms in qubits.items()
+                }
+                for size, qubits in runs[side][0].get(section, {}).items()
             }
-            for size, qubits in runs[side][0]["gate1q"].items()
+            for side in SIDES
         }
-        for side in SIDES
+        for section in ("gate1q", "gate2q")
     }
-    return {"runs": runs, "median_s": medians, "gate1q_median_s": gate1q}
+    return {"runs": runs, "median_s": medians, **gates}
 
 
 def threads(dirs, seed: int) -> dict:
@@ -180,10 +182,8 @@ def main(argv=None) -> int:
         },
         "stages": stages(dirs),
         "traced": {
-            TRACED_WORKLOAD: {
-                side: _run_bench(dirs[side], TRACED_WORKLOAD, SEEDS[0], seconds, trace=1)
-                for side in SIDES
-            }
+            w: {side: _run_bench(dirs[side], w, SEEDS[0], seconds, trace=1) for side in SIDES}
+            for w in workloads
         },
         "threads": threads(dirs, SEEDS[0]),
     }

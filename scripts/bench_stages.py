@@ -13,13 +13,22 @@ Stages:
   random_round_l{8,16}  one ``experiment._random_round``: the draws, the
                         rotation, depolarizing at p_tot = 0.1 and the
                         multinomial, with the shot counts of the
-                        ``rm_l8_mitigated`` and ``rm_l16_threads`` workloads.
+                        ``rm_l8_mitigated`` and ``rm_l16_threads`` workloads;
+  state_build_l16       one time point's state of the ``twist_l16_readout``
+                        workload: the fused link blocks at t = 0.3 applied
+                        to the prepared Neel ring;
+  exact_twist_l16       one ``exact_twist`` of that state.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 Section ``gate1q`` times the two forms of a one-qubit gate on every qubit
 of a random state at L = 8, 12 and 16: ``matmul`` (``np.matmul`` of the
-gate into the (2^q, 2, R) view) and ``kron`` (``state._kron_one_qubit``, for
+gate into the (2^q, 2, R) view) and ``kron`` (the package's kron form, for
 rows R of at most ``KRON_MAX_ROWS``). ``apply_gate`` picks between them by
-``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``.
+``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``. Section ``gate2q``
+times a fused link block on every adjacent pair (a, a+1) of such states in
+three forms: ``moveaxis`` (both axes moved to the front, one (4, 2^(L-2))
+product, moved back), ``matmul`` into the (2^a, 4, R) view and ``kron``
+(for R of at most ``KRON_MAX_ROWS``, where the package's kron form takes
+4x4 matrices).
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
 blocks of the time per call, in seconds. The JSON goes to stdout. The
@@ -72,7 +81,9 @@ def checkout_state(root: Path) -> dict:
 def _stages():
     """(name, calls per block, one call) in report order."""
     from sshquench import quench_circuit
+    from sshquench.circuits import evolution_circuit, prepare_neel
     from sshquench.experiment import _random_round
+    from sshquench.observables import exact_twist
     from sshquench.randmeas import purity_statistic, rotate_state, sample_haar_unitary
     from sshquench.state import Gate1Q
 
@@ -94,25 +105,60 @@ def _stages():
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         yield (f"random_round_l{num_sites}", calls,
                lambda s=state, n=SHOTS[num_sites]: _random_round(s, 1, n, rng, P_TOT))
+    start = prepare_neel(16).run()
+    evolution = evolution_circuit(0.3, 16, "pbc", fused=True)
+    yield "state_build_l16", 20, lambda: evolution.apply(start)
+    state = evolution.apply(start)
+    yield "exact_twist_l16", 50, lambda: exact_twist(state, q=1, kind="spin")
+
+
+def _kron_forms():
+    """The package's kron gate form, and whether it takes 4x4 matrices.
+
+    Checkouts before the two-qubit form have only the one-qubit
+    ``_kron_one_qubit``.
+    """
+    from sshquench import state
+
+    two_qubit = getattr(state, "_kron_form", None)
+    return two_qubit or state._kron_one_qubit, two_qubit is not None
+
+
+def _moveaxis(m, vec, a, num_sites):
+    """``m`` on qubits (a, a+1) with both axes moved to the front and back."""
+    psi = np.moveaxis(vec.reshape([2] * num_sites), (a, a + 1), (0, 1)).reshape(4, -1)
+    out = (m @ psi).reshape([2] * num_sites)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (a, a + 1))).reshape(-1)
 
 
 def _gate_forms():
-    """(chain length, qubit, form, calls per block, one call) for ``gate1q``."""
-    from sshquench.randmeas import sample_haar_unitary
-    from sshquench.state import _kron_one_qubit
+    """(section, chain length, qubit, form, calls per block, one call).
 
-    forms = {"matmul": np.matmul, "kron": _kron_one_qubit}
+    ``gate1q`` forms act on the (2^q, 2, R) view, ``gate2q`` forms on qubits
+    (q, q+1); the kron form only for R of at most ``KRON_MAX_ROWS``.
+    """
+    from sshquench.circuits import coupling_block_matrix
+    from sshquench.randmeas import sample_haar_unitary
+
+    kron, kron_two_qubit = _kron_forms()
     rng = np.random.default_rng(12)
     u = sample_haar_unitary(rng)
+    block = coupling_block_matrix(0.3)
     for num_sites, calls in GATE_CALLS.items():
         vec = rng.standard_normal(1 << num_sites) + 1j * rng.standard_normal(1 << num_sites)
         vec /= np.linalg.norm(vec)
         for q in range(num_sites):
             psi = vec.reshape(1 << q, 2, -1)
-            for form, fn in forms.items():
-                if form == "kron" and psi.shape[2] > KRON_MAX_ROWS:
-                    continue  # its (2R, 2R) factor has 4 R^2 entries
-                yield num_sites, q, form, calls, lambda f=fn, p=psi: f(u, p)
+            yield "gate1q", num_sites, q, "matmul", calls, lambda p=psi: np.matmul(u, p)
+            if psi.shape[2] <= KRON_MAX_ROWS:  # its (2R, 2R) factor has 4 R^2 entries
+                yield "gate1q", num_sites, q, "kron", calls, lambda p=psi: kron(u, p)
+        for a in range(num_sites - 1):
+            psi = vec.reshape(1 << a, 4, -1)
+            yield ("gate2q", num_sites, a, "moveaxis", calls,
+                   lambda a=a, n=num_sites: _moveaxis(block, vec, a, n))
+            yield "gate2q", num_sites, a, "matmul", calls, lambda p=psi: np.matmul(block, p)
+            if kron_two_qubit and psi.shape[2] <= KRON_MAX_ROWS:
+                yield "gate2q", num_sites, a, "kron", calls, lambda p=psi: kron(block, p)
 
 
 def _time(call, calls: int, repeats: int) -> dict:
@@ -139,15 +185,15 @@ def provenance() -> dict:
 
 
 def measure(repeats: int) -> dict:
-    gate1q = {}
-    for num_sites, q, form, calls, call in _gate_forms():
-        row = gate1q.setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
+    gates = {"gate1q": {}, "gate2q": {}}
+    for section, num_sites, q, form, calls, call in _gate_forms():
+        row = gates[section].setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
         row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
     return {
         "provenance": provenance(),
         "repeats": repeats,
         "stages": {name: _time(call, calls, repeats) for name, calls, call in _stages()},
-        "gate1q": gate1q,
+        **gates,
     }
 
 

@@ -97,9 +97,13 @@ class Circuit:
             state = apply_gate(state, g)
         return state
 
-    def run(self) -> QuantumState:
-        """Apply the circuit to |0...0>."""
-        return self.apply(new_basis_state(self.num_qubits, "0" * self.num_qubits))
+    def run(self, start: QuantumState | None = None) -> QuantumState:
+        """Apply the circuit to ``start`` of as many qubits, or to |0...0> if None."""
+        if start is None:
+            start = new_basis_state(self.num_qubits, "0" * self.num_qubits)
+        if start.num_qubits != self.num_qubits:
+            raise ValueError("start state and circuit act on different qubit counts")
+        return self.apply(start)
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.num_qubits != self.num_qubits:

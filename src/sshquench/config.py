@@ -70,15 +70,17 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.num_sites > MAX_QUBITS:
+        if _typed("L", self.num_sites) > MAX_QUBITS:
             raise CapacityError(
                 f"L = {self.num_sites} exceeds the dense statevector cap of {MAX_QUBITS}"
             )
         if self.num_sites < 4 or self.num_sites % 2:
             raise ConfigError(f"L must be even and >= 4, got {self.num_sites}", key="L")
         for key, (_default, field, rule) in _KEYS.items():
-            if field is not None and isinstance(rule, tuple):
-                _check(key, getattr(self, field))
+            if field is not None:
+                object.__setattr__(self, field, _typed(key, getattr(self, field)))
+                if isinstance(rule, tuple):
+                    _check(key, getattr(self, field))
 
         times = self.times
         if not all(np.isfinite(times)):
@@ -118,15 +120,15 @@ class ExperimentConfig:
 # (None: not written back; t_max and t_points are written as times, and an
 # out key would make a re-run write over the run it came from) and its rule:
 # the allowed words, or the (low, high) bounds of a number read as the type
-# of low. Keys checked by explicit code have the type read, or None for text.
+# of low. Other keys have the type read, tuple for a list, or None for text.
 _KEYS = {
     "L": (None, "num_sites", int),
     "boundary": ("pbc", "boundary", BOUNDARIES),
     "initial": (None, "initial", INITIALS),
-    "times": (None, "times", None),
+    "times": (None, "times", tuple),
     "t_max": ("0.7853981633974483", None, float),
     "t_points": ("30", None, (1, math.inf)),
-    "quantities": ("entropy", "quantities", None),
+    "quantities": ("entropy", "quantities", tuple),
     "subsystem": ("half", "subsystem", None),
     "n_unitaries": ("100", "num_unitaries", (1, math.inf)),
     "n_shots": ("4096", "num_shots", (2, math.inf)),
@@ -161,32 +163,43 @@ def _check(key: str, value) -> None:
         raise ConfigError(f"{key} must be in [{low:g}, {high:g}], got {value}", key=key)
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {raw!r}", key=key)
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+# the types a field of each kind may hold, and what its text must read as
+_KINDS = {bool: (bool, "true or false"), int: ((int, np.integer), "an integer"),
+          float: ((int, float, np.integer, np.floating), "a number")}
 
 
-def _parse_number(kind, raw: str, key: str) -> int | float:
-    """``kind(raw)`` for ``kind`` int or float."""
-    try:
-        return kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}, got {raw!r}", key=key) from None
+def _kind(key: str):
+    """What a key's text is read as: bool, int, float, tuple, or str or None for text."""
+    rule = _KEYS[key][2]
+    return type(rule[0]) if isinstance(rule, tuple) else rule
 
 
 def _read(key: str, raw: str):
     """Typed value of one key's text: a bool or number where its rule says so."""
-    rule = _KEYS[key][2]
-    kind = type(rule[0]) if isinstance(rule, tuple) else rule
-    if kind is bool:
-        return _parse_bool(raw, key)
-    if kind in (int, float):
-        return _parse_number(kind, raw, key)
-    return raw
+    kind = _kind(key)
+    try:
+        if kind is bool:
+            return _BOOL_WORDS[raw.lower()]
+        return kind(raw) if kind in _KINDS else raw
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key} must be {_KINDS[kind][1]}, got {raw!r}", key=key) from None
+
+
+def _typed(key: str, value, kind=None):
+    """``value`` as its key's kind, so that it survives ``format_config`` and the
+    parser unchanged: a sequence as a tuple, a number as a Python scalar."""
+    kind = kind or _kind(key)
+    if kind is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ConfigError(f"{key} must be a tuple, got {value!r}", key=key)
+        return tuple(_typed(key, v, float) if key == "times" else v for v in value)
+    if kind not in _KINDS:
+        return value
+    types, noun = _KINDS[kind]
+    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}", key=key)
+    return kind(value)
 
 
 def parse_config_text(

@@ -18,12 +18,14 @@ Output files (per enabled quantity):
                   written last
   shots/          optional persisted shot tables, one file per time point
 
-Numbers are written with 12 significant digits; missing values are explicit
-``nan`` sentinels accompanied by a flag token where a flags column exists.
+Each file is written under a temporary name and moved into place. Numbers
+are written with 12 significant digits; missing values are explicit ``nan``
+sentinels accompanied by a flag token where a flags column exists.
 """
 from __future__ import annotations
 
 import csv
+import io
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -97,12 +99,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _initial_circuit(config):
-    if config.initial == "neel":
-        return prepare_neel(config.num_sites)
-    return prepare_singlet_product(config.num_sites)
-
-
 def _oracle_entropy(config, subset, state, t: float) -> float:
     """Closed form where a cell-aligned bipartition applies, exact otherwise."""
     cells_per_half = config.num_sites // 4
@@ -153,12 +149,13 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
 
     subset = resolve_subsystem(config.subsystem, config.num_sites)
 
-    # fused link blocks for the states; the gate-level circuit, whose depth
-    # does not depend on t, is built once for the layer counts
-    prep = _initial_circuit(config)
+    # fused link blocks on the prepared state; the gate-level circuit, whose
+    # depth does not depend on t, is built once for the layer counts
+    prepare = prepare_neel if config.initial == "neel" else prepare_singlet_product
+    prep = prepare(config.num_sites)
     initial_state = prep.run()
     states = [
-        prep.then(evolution_circuit(t, config.num_sites, config.boundary, fused=True)).run()
+        evolution_circuit(t, config.num_sites, config.boundary, fused=True).run(initial_state)
         for t in config.times
     ]
     layers_total = layer_count(
@@ -184,7 +181,7 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
         shots_dir = out_dir / "shots"
         shots_dir.mkdir(exist_ok=True)
         for name, text in shot_files.items():
-            (shots_dir / name).write_text(text)
+            _replace_file(shots_dir / name, text)
 
     comments = [
         f"version = {__version__}",
@@ -193,10 +190,11 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
         f"layers_total = {layers_total}",
         f"p_tot_true = {_fmt(p_tot_true)}",
     ]
-    (out_dir / "manifest.txt").write_text(
+    _replace_file(
+        out_dir / "manifest.txt",
         "# sshquench run manifest: resolved configuration, re-runnable\n"
         + format_config(config)
-        + "".join(f"# {line}\n" for line in comments)
+        + "".join(f"# {line}\n" for line in comments),
     )
     return out_dir
 
@@ -413,13 +411,21 @@ def _shot_file(config, num_unitaries: int, rounds) -> str:
     return "".join(lines)
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary sibling of ``path``, then move it over ``path``."""
+    partial = path.with_name(f".{path.name}.partial")
+    partial.write_text(text, newline="")
+    partial.replace(path)
+
+
 def _write_table(path: Path, header, rows) -> None:
     """CSV with numbers at 12 significant digits and flag tuples ';'-joined."""
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([";".join(x) if isinstance(x, tuple) else _fmt(x) for x in row])
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([";".join(x) if isinstance(x, tuple) else _fmt(x) for x in row])
+    _replace_file(path, text.getvalue())
 
 
 def read_shot_tables(path: str | Path) -> list[ShotTable]:

@@ -55,7 +55,7 @@ def flip_outcomes(
     if flip_prob == 0.0 or out.size == 0:
         return out.copy()
     flips = rng.random((out.size, num_qubits)) < flip_prob
-    return out ^ pack_bits(flips.T)
+    return out ^ pack_bits(flips)
 
 
 def forward_noisy_purity(exact_purity: float, p_tot: float, subsystem_size: int) -> float:

@@ -12,7 +12,9 @@ with sites j = 1..L and s_j the measured bit (spin up = 0 carries one
 particle). The Berry phase of the dynamical state is the argument of the
 particle twist at q = 2 for half filling, reported relative to the exact
 initial-state argument so that a quench that never moves the twist phase
-reads exactly zero; see ``berry_phase`` and ``gauge_reference``.
+reads exactly zero; see ``berry_phase`` and ``gauge_reference``. The
+estimators read exp(i phase) from a table over the L(L+1)/2 + 1 values of
+W = sum_j j s_j, each entry the same ``np.exp`` of the same angle.
 """
 from __future__ import annotations
 
@@ -46,6 +48,15 @@ def _phase_angles(weighted: np.ndarray, num_sites: int, q: int, kind: str) -> np
     if kind == "particle":
         return (2.0 * pi * q / num_sites) * (total - 1.0 * weighted)
     raise ValueError(f"kind must be 'spin' or 'particle', got {kind!r}")
+
+
+@lru_cache(maxsize=16)
+def _phase_factors(num_sites: int, q: int, kind: str) -> np.ndarray:
+    """exp(i phase) at every W = 0..L(L+1)/2, W as in ``_weighted_occupation_table``."""
+    weighted = np.arange(num_sites * (num_sites + 1) // 2 + 1, dtype=np.int64)
+    factors = np.exp(1j * _phase_angles(weighted, num_sites, q, kind))
+    factors.setflags(write=False)
+    return factors
 
 
 @dataclass(frozen=True)
@@ -83,9 +94,8 @@ def _twist_from_counts(
     counts: dict[int, int], num_sites: int, q: int, kind: str
 ) -> TwistResult:
     keys, vals = _count_arrays(counts, num_sites)
-    weighted = _weighted_occupation_of(keys, num_sites)
-    phases = _phase_angles(weighted, num_sites, q, kind)
-    return TwistResult(complex(np.sum(vals * np.exp(1j * phases)) / vals.sum()))
+    factors = _phase_factors(num_sites, q, kind)[_weighted_occupation_of(keys, num_sites)]
+    return TwistResult(complex(np.sum(vals * factors) / vals.sum()))
 
 
 def twist_order_parameter(
@@ -111,9 +121,8 @@ def exact_twist(
 ) -> TwistResult:
     """Infinite-shot limit of the bitstring estimators on an exact state."""
     n = state.num_qubits
-    weighted = _weighted_occupation_table(n)
-    phases = _phase_angles(weighted, n, q, kind)
-    return TwistResult(complex(np.sum(probabilities(state) * np.exp(1j * phases))))
+    factors = _phase_factors(n, q, kind)[_weighted_occupation_table(n)]
+    return TwistResult(complex(np.sum(probabilities(state) * factors)))
 
 
 def postselect_half_filling(counts: dict[int, int], num_sites: int) -> dict[int, int]:

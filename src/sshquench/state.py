@@ -26,8 +26,12 @@ combinations of the two halves, is not used: its 2^L-sized temporaries cost
 1.6-2.3 ms per gate on q = 11..15 of L = 16 against 0.27-0.62 ms for the
 kron product. The two forms used differ only in the last bit of an
 amplitude (at most 3e-17 on random normalized states at L = 8, 12 and 16).
-A two-qubit gate moves its two axes to the front and multiplies the
-(4, 2^(L-2)) view by its 4x4 matrix.
+A two-qubit gate on a pair (a, a+1) takes the same forms on the (2^a, 4, R)
+view: matmul when a = 0 or R >= MATMUL_ROWS, else the kron form with a
+(4R, 4R) factor. Each keeps the bits of the moveaxis form (checked on random
+states at L = 4..18), which matmul on rows R <= 2 would not. Any other
+pair, the wrap link (L-1, 0) and reversed pairs included, moves its two
+axes to the front and multiplies the (4, 2^(L-2)) view by its 4x4 matrix.
 
 Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs
 less than a numpy product; Gate2Q keeps the numpy check.
@@ -51,7 +55,7 @@ MAX_DENSE_SUBSET = 12    # dense reduced-density-matrix bound
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
-MATMUL_LEADING = 16      # one-qubit gates: see the module docstring
+MATMUL_LEADING = 16      # gate forms: see the module docstring
 MATMUL_ROWS = 32
 
 
@@ -189,12 +193,11 @@ def qubit_bits(keys: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
         yield bit
 
 
-def pack_bits(bits: Iterable[np.ndarray]) -> np.ndarray:
-    """Inverse of ``qubit_bits``: indices whose first listed bit is the MSB."""
-    index = np.int64(0)
-    for bit in bits:
-        index = (index << 1) | bit
-    return index
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of ``qubit_bits`` for 0/1 bits along the last axis, the first as
+    the MSB. One exact product: each partial sum is an integer below 2^53."""
+    weights = 2.0 ** np.arange(bits.shape[-1] - 1, -1, -1)
+    return (bits.astype(float) @ weights).astype(np.int64)
 
 
 def new_basis_state(num_qubits: int, bits: str) -> QuantumState:
@@ -215,33 +218,28 @@ def _eye(size: int) -> np.ndarray:
     return eye
 
 
-def _kron_one_qubit(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``u`` applied to the middle axis of a (2^q, 2, R) view as one product.
-
-    Each length-2R row is multiplied by kron(u, I_R).T, which is built by one
-    broadcast multiply.
-    """
-    rows = psi.shape[2]
-    factor = u.T[:, None, :, None] * _eye(rows)[None, :, None, :]
-    return psi.reshape(psi.shape[0], -1) @ factor.reshape(2 * rows, 2 * rows)
+def _kron_form(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """d x d ``u`` on the middle axis of a (2^q, d, R) view: each length-dR row
+    times kron(u, I_R).T, one product whose factor one broadcast multiply builds."""
+    size = u.shape[0] * psi.shape[2]
+    factor = u.T[:, None, :, None] * _eye(psi.shape[2])[None, :, None, :]
+    return psi.reshape(psi.shape[0], -1) @ factor.reshape(size, size)
 
 
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a 1- or 2-qubit gate, returning a new state."""
     n = state.num_qubits
-    if isinstance(gate, Gate1Q):
-        q = gate.qubit
-        if q >= n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-        psi = state.amplitudes.reshape(1 << q, 2, -1)
-        if psi.shape[0] <= MATMUL_LEADING or psi.shape[2] >= MATMUL_ROWS:
+    if max(gate.qubits) >= n:
+        raise ValueError(f"qubits {gate.qubits} out of range for {n} qubits")
+    a, b = gate.qubits[0], gate.qubits[-1]
+    if isinstance(gate, Gate1Q) or b == a + 1:
+        psi = state.amplitudes.reshape(1 << a, len(gate.matrix), -1)
+        short_lead = MATMUL_LEADING if isinstance(gate, Gate1Q) else 1
+        if psi.shape[0] <= short_lead or psi.shape[2] >= MATMUL_ROWS:
             out = np.matmul(gate.matrix, psi)
         else:
-            out = _kron_one_qubit(gate.matrix, psi)
+            out = _kron_form(gate.matrix, psi)
         return QuantumState(n, out.reshape(-1))
-    a, b = gate.qubits
-    if a >= n or b >= n:
-        raise ValueError(f"qubits {gate.qubits} out of range for {n} qubits")
     psi = state.amplitudes.reshape([2] * n)
     psi = np.moveaxis(psi, (a, b), (0, 1)).reshape(4, -1)
     out = gate.matrix @ psi

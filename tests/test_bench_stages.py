@@ -19,6 +19,8 @@ STAGES = {
     "rotate_state_l16",
     "random_round_l8",
     "random_round_l16",
+    "state_build_l16",
+    "exact_twist_l16",
 }
 GATE_SIZES = {8, 12, 16}
 KRON_MAX_ROWS = 64  # the script times the kron form up to this row length
@@ -31,7 +33,7 @@ def test_one_repeat_prints_every_stage():
         env=env, check=True, timeout=300, capture_output=True, text=True,
     )
     result = json.loads(proc.stdout)
-    assert set(result) == {"provenance", "repeats", "stages", "gate1q"}
+    assert set(result) == {"provenance", "repeats", "stages", "gate1q", "gate2q"}
     assert set(result["provenance"]) == {"commit", "src_modified", "python", "numpy", "nproc"}
     assert result["repeats"] == 1
     assert set(result["stages"]) == STAGES
@@ -45,3 +47,10 @@ def test_one_repeat_prints_every_stage():
         for q in range(n):
             kron = {"kron_s"} if 1 << (n - q - 1) <= KRON_MAX_ROWS else set()
             assert set(qubits[f"q{q}"]) == {"matmul_s"} | kron
+    assert set(result["gate2q"]) == {f"l{n}" for n in GATE_SIZES}
+    for n in GATE_SIZES:
+        pairs = result["gate2q"][f"l{n}"]
+        assert set(pairs) == {f"q{a}" for a in range(n - 1)}
+        for a in range(n - 1):
+            kron = {"kron_s"} if 1 << (n - a - 2) <= KRON_MAX_ROWS else set()
+            assert set(pairs[f"q{a}"]) == {"moveaxis_s", "matmul_s"} | kron

@@ -45,7 +45,7 @@ def test_helper_matches_strings(case):
     strings = [index_to_bits(int(k), n) for k in keys]
     for q, bits in enumerate(qubit_bits(keys, n)):
         assert bits.tolist() == [int(s[q]) for s in strings]
-    assert pack_bits(qubit_bits(keys, n)).tolist() == keys.tolist()
+    assert pack_bits(np.stack(list(qubit_bits(keys, n)), axis=-1)).tolist() == keys.tolist()
 
 
 @settings(max_examples=120, deadline=None)

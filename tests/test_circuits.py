@@ -111,6 +111,21 @@ class TestEvolution:
         b = prep.then(evolution_circuit(t, num_sites, boundary, fused=True)).run()
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-10)
 
+    @pytest.mark.parametrize("num_sites", [8, 16])
+    @pytest.mark.parametrize("initial", ["neel", "singlet"])
+    @pytest.mark.parametrize("boundary", ["pbc", "obc"])
+    def test_run_from_the_prepared_state_keeps_the_bits(self, num_sites, initial, boundary):
+        prep = (prepare_neel if initial == "neel" else prepare_singlet_product)(num_sites)
+        start = prep.run()
+        for t in (0.0, 0.31, 1.2):
+            evolution = evolution_circuit(t, num_sites, boundary, fused=True)
+            from_start = evolution.run(start).amplitudes
+            assert np.array_equal(from_start, prep.then(evolution).run().amplitudes)
+
+    def test_run_rejects_a_start_state_of_another_size(self):
+        with pytest.raises(ValueError, match="different qubit counts"):
+            evolution_circuit(0.3, 6, "pbc").run(prepare_neel(8).run())
+
     @settings(max_examples=20, deadline=None)
     @given(
         t1=st.floats(0.0, 1.5, allow_nan=False),

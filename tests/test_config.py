@@ -291,6 +291,48 @@ class TestCodeBuilt:
         assert built.value.key == parsed.value.key == key
         assert built.value.line is None
 
+    @pytest.mark.parametrize("key", ["save_shots", "exact_probabilities"])
+    @pytest.mark.parametrize("value", ["no", "true", 0, 1, None])
+    def test_replace_rejects_a_switch_that_is_not_a_bool(self, key, value):
+        with pytest.raises(ConfigError) as built:
+            replace(parse_config_text(MINIMAL), **{key: value})
+        assert str(built.value) == f"{key} must be true or false, got {value!r}"
+        assert built.value.key == key
+
+    @pytest.mark.parametrize(
+        "fields, key, message",
+        [
+            ({"times": "0, 0.5"}, "times", "times must be a tuple, got '0, 0.5'"),
+            ({"times": (0.0, "0.5")}, "times", "times must be a number, got '0.5'"),
+            ({"quantities": "twist"}, "quantities", "quantities must be a tuple, got 'twist'"),
+            ({"num_shots": 64.0}, "n_shots", "n_shots must be an integer, got 64.0"),
+            ({"threads": True}, "threads", "threads must be an integer, got True"),
+            ({"p_layer": "0.1"}, "p_layer", "p_layer must be a number, got '0.1'"),
+        ],
+    )
+    def test_replace_rejects_a_field_of_another_type(self, fields, key, message):
+        with pytest.raises(ConfigError) as built:
+            replace(parse_config_text(MINIMAL), **fields)
+        assert str(built.value) == message
+        assert built.value.key == key
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"times": [0.0, 0.5]},
+            {"times": (0, np.float64(0.5))},
+            {"quantities": ["twist"]},
+            {"num_sites": np.int64(12), "num_shots": np.int32(64), "seed": np.uint64(3)},
+            {"p_layer": 0, "readout_flip": np.float32(0.25)},
+        ],
+    )
+    def test_replace_keeps_what_the_manifest_parses_back(self, fields):
+        config = replace(parse_config_text(MINIMAL), **fields)
+        again = parse_config_text(format_config(config))
+        assert again == config
+        for field in fields:
+            assert type(getattr(config, field)) is type(getattr(again, field))
+
     def test_replace_past_the_cap(self):
         with pytest.raises(CapacityError) as parsed:
             parse_config_text(MINIMAL, {"L": "26"})

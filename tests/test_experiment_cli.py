@@ -1,4 +1,5 @@
 """End-to-end runs through the experiment pipeline and the CLI."""
+import itertools
 import os
 import subprocess
 import sys
@@ -311,6 +312,28 @@ class TestReport:
         assert (out / "twist.csv").exists() and not (out / "manifest.txt").exists()
         with pytest.raises(FileNotFoundError, match="manifest.txt"):
             compare_report(out)
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "manifest.txt" in capsys.readouterr().err
+
+    def test_table_that_fails_mid_row_leaves_the_old_file(self, tmp_path, capsys, monkeypatch):
+        conf = _write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        old = {path.name: path.read_bytes() for path in out.iterdir()}
+        fmt, calls = experiment._fmt, itertools.count()
+
+        def fail_in_the_second_row(x):  # entropy.csv, the second row's third number
+            if next(calls) == 7:
+                raise RuntimeError("write failed")
+            return fmt(x)
+
+        monkeypatch.setattr(experiment, "_fmt", fail_in_the_second_row)
+        with pytest.raises(RuntimeError, match="write failed"):
+            main(["run", str(conf), "--out", str(out), "--quiet", "--seed", "5"])
+        assert sorted(path.name for path in out.iterdir()) == sorted(set(old) - {"manifest.txt"})
+        for name in old.keys() - {"manifest.txt"}:
+            assert (out / name).read_bytes() == old[name]
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         assert "manifest.txt" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_dict
+from conftest import count_dict, random_state_vector
 from sshquench.circuits import prepare_neel, prepare_singlet_product, quench_circuit
 from sshquench.noise import flip_outcomes
 from sshquench.observables import (
@@ -15,11 +15,27 @@ from sshquench.observables import (
     twist_order_parameter,
 )
 from sshquench.state import (
+    QuantumState,
     bits_to_index,
     counts_from_outcomes,
     probabilities,
     sample_outcomes,
 )
+
+
+def _direct_factors(keys, num_sites, q, kind):
+    """exp(i phase) of each index by the module's formula, one angle per index."""
+    weighted = sum(j * ((keys >> (num_sites - j)) & 1) for j in range(1, num_sites + 1))
+    total = num_sites * (num_sites + 1) // 2
+    if kind == "spin":
+        phases = (np.pi * q / num_sites) * (total - 2.0 * weighted)
+    else:
+        phases = (2.0 * np.pi * q / num_sites) * (total - 1.0 * weighted)
+    return np.exp(1j * phases)
+
+
+def _bits(z: complex) -> bytes:
+    return np.complex128(z).tobytes()
 
 
 def _neel_counts(num_sites, shots=10):
@@ -102,6 +118,27 @@ class TestSpinTwist:
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError):
             twist_order_parameter({}, 4)
+
+
+class TestPhaseTable:
+    """The cached phase factors give the bits of the per-index formula."""
+
+    @pytest.mark.parametrize("num_sites", range(4, 17))
+    @pytest.mark.parametrize("q, kind", [(1, "spin"), (2, "particle")])
+    def test_estimators_equal_the_direct_formula_bitwise(self, num_sites, q, kind):
+        rng = np.random.default_rng(num_sites)
+        state = QuantumState(num_sites, random_state_vector(num_sites, rng))
+        probs = probabilities(state)
+        keys = np.arange(1 << num_sites)
+        want = np.sum(probs * _direct_factors(keys, num_sites, q, kind))
+        assert _bits(exact_twist(state, q, kind).z) == _bits(want)
+
+        counts = rng.multinomial(4096, probs)
+        seen = np.flatnonzero(counts)
+        vals = counts[seen].astype(float)
+        want = np.sum(vals * _direct_factors(seen, num_sites, q, kind)) / vals.sum()
+        estimator = twist_order_parameter if kind == "spin" else particle_twist_amplitude
+        assert _bits(estimator(count_dict(counts), num_sites, q).z) == _bits(want)
 
 
 class TestParticleTwist:

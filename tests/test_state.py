@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (
+    embed_two_site,
     haar_pair_product,
     hamming_distance,
     random_state_vector,
     ref_reduced_density,
 )
-from sshquench.circuits import cx_gate, h_gate, quench_circuit
+from sshquench import state as state_module
+from sshquench.circuits import _CX, coupling_block_matrix, cx_gate, h_gate, quench_circuit
 from sshquench.randmeas import sample_haar_unitary
 from sshquench.state import (
     CapacityError,
@@ -24,6 +26,7 @@ from sshquench.state import (
     UNITARY_ATOL,
     QuantumState,
     _IDENTITY_4,
+    _kron_form,
     _unitarity_defect_2x2,
     apply_gate,
     bits_to_index,
@@ -54,6 +57,18 @@ def _random_unitary_2x2(theta, phi, lam) -> np.ndarray:
             [-np.exp(-1j * lam) * s, np.exp(-1j * phi) * c],
         ]
     )
+
+
+def _random_unitary_4x4(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _moveaxis_two_qubit(matrix, vec, pair, num_qubits) -> np.ndarray:
+    """The pair's axes moved to the front, the 4x4 product, and moved back."""
+    psi = np.moveaxis(vec.reshape([2] * num_qubits), pair, (0, 1)).reshape(4, -1)
+    out = (matrix @ psi).reshape([2, 2] + [2] * (num_qubits - 2))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), pair)).reshape(-1)
 
 
 def _unitarity_defect_reference(m: np.ndarray) -> float:
@@ -147,6 +162,45 @@ class TestGates:
                 want = np.einsum("ij,ajb->aib", u, vec.reshape(1 << q, 2, rows))
             np.testing.assert_allclose(got.amplitudes, want.reshape(-1), atol=1e-12)
         assert forms == ({True, False} if num_qubits >= 8 else {True})
+
+    @pytest.mark.parametrize("num_qubits", [4, 6, 8, 12, 16])
+    def test_adjacent_two_qubit_gate_keeps_the_moveaxis_bits(self, num_qubits, monkeypatch):
+        # every pair (a, a+1) gives the bits of the moveaxis form, through
+        # matmul for a = 0 or rows of at least MATMUL_ROWS and the kron form
+        # otherwise; matmul on rows of 1 or 2 would move bits at L = 4 and 6
+        kron_calls = []
+        monkeypatch.setattr(
+            state_module, "_kron_form", lambda u, psi: kron_calls.append(1) or _kron_form(u, psi)
+        )
+        rng = np.random.default_rng(num_qubits)
+        vec = random_state_vector(num_qubits, rng)
+        state = QuantumState(num_qubits, vec)
+        matrices = (coupling_block_matrix(0.37), _CX, _random_unitary_4x4(rng))
+        for a in range(num_qubits - 1):
+            for m in matrices:
+                got = apply_gate(state, Gate2Q(m, (a, a + 1)))
+                want = _moveaxis_two_qubit(m, vec, (a, a + 1), num_qubits)
+                assert np.array_equal(got.amplitudes, want)
+        kron_pairs = sum(1 << (num_qubits - a - 2) < MATMUL_ROWS for a in range(1, num_qubits - 1))
+        assert 0 < kron_pairs < num_qubits - 1
+        assert len(kron_calls) == len(matrices) * kron_pairs
+
+    @pytest.mark.parametrize("pair", [(1, 0), (3, 2), (5, 4), (5, 0), (0, 5), (4, 1)])
+    def test_reversed_wrap_and_distant_pairs_match_kron(self, pair):
+        num_qubits = 6
+        rng = np.random.default_rng(sum(pair))
+        vec = random_state_vector(num_qubits, rng)
+        m = _random_unitary_4x4(rng)
+        got = apply_gate(QuantumState(num_qubits, vec), Gate2Q(m, pair))
+        # |i j><k l| on (pair[0], pair[1]) with weight m[(i, j), (k, l)]
+        unit = np.eye(2)
+        op = sum(
+            m[2 * i + j, 2 * k + l]
+            * embed_two_site(np.outer(unit[i], unit[k]), np.outer(unit[j], unit[l]), *pair,
+                             num_qubits)
+            for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1)
+        )
+        np.testing.assert_allclose(got.amplitudes, op @ vec, atol=1e-12)
 
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError):
