@@ -45,7 +45,7 @@ STAGE_PAIRS = 3
 THREAD_PAIRS = 5
 
 # times ``execute`` of the rm_l16_threads workload config; argv: checkout, seed, threads
-THREAD_CHILD = """
+THREAD_CHILD = r"""
 import sys, tempfile, time
 sys.path.insert(0, sys.argv[1] + "/benchmark")
 from run import WORKLOADS

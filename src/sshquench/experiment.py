@@ -423,8 +423,7 @@ def _write_table(path: Path, header, rows) -> None:
     text = io.StringIO()
     w = csv.writer(text)
     w.writerow(header)
-    for row in rows:
-        w.writerow([";".join(x) if isinstance(x, tuple) else _fmt(x) for x in row])
+    w.writerows([";".join(x) if isinstance(x, tuple) else _fmt(x) for x in r] for r in rows)
     _replace_file(path, text.getvalue())
 
 

@@ -229,12 +229,13 @@ def _kron_form(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a 1- or 2-qubit gate, returning a new state."""
     n = state.num_qubits
-    if max(gate.qubits) >= n:
+    one_qubit = isinstance(gate, Gate1Q)
+    a, b = (gate.qubit, gate.qubit) if one_qubit else gate.qubits
+    if a >= n or b >= n:
         raise ValueError(f"qubits {gate.qubits} out of range for {n} qubits")
-    a, b = gate.qubits[0], gate.qubits[-1]
-    if isinstance(gate, Gate1Q) or b == a + 1:
-        psi = state.amplitudes.reshape(1 << a, len(gate.matrix), -1)
-        short_lead = MATMUL_LEADING if isinstance(gate, Gate1Q) else 1
+    if one_qubit or b == a + 1:
+        psi = state.amplitudes.reshape(1 << a, 2 if one_qubit else 4, -1)
+        short_lead = MATMUL_LEADING if one_qubit else 1
         if psi.shape[0] <= short_lead or psi.shape[2] >= MATMUL_ROWS:
             out = np.matmul(gate.matrix, psi)
         else:
