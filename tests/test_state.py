@@ -169,9 +169,12 @@ class TestGates:
         # matmul for a = 0 or rows of at least MATMUL_ROWS and the kron form
         # otherwise; matmul on rows of 1 or 2 would move bits at L = 4 and 6
         kron_calls = []
-        monkeypatch.setattr(
-            state_module, "_kron_form", lambda u, psi: kron_calls.append(1) or _kron_form(u, psi)
-        )
+
+        def counted_kron(u, psi):
+            kron_calls.append(psi.shape)
+            return _kron_form(u, psi)
+
+        monkeypatch.setattr(state_module, "_kron_form", counted_kron)
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
