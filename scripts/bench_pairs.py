@@ -16,7 +16,8 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               AFTER's BENCHMARK.json);
   stages      this directory's ``bench_stages.py`` with each checkout's
               ``src`` on the Python path, in 3 pairs: per run and medians,
-              and the medians of the one- and two-qubit gate forms;
+              and the medians of the one- and two-qubit gate forms and
+              of the rotation forms;
   traced      one ``run.py --trace 1`` of every workload per checkout, at
               the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
@@ -138,7 +139,15 @@ def stages(dirs) -> dict:
         }
         for section in ("gate1q", "gate2q")
     }
-    return {"runs": runs, "median_s": medians, **gates}
+    rotate = {
+        side: {
+            size: {form: statistics.median(r["rotate"][size][form] for r in runs[side])
+                   for form in forms}
+            for size, forms in runs[side][0]["rotate"].items()
+        }
+        for side in SIDES
+    }
+    return {"runs": runs, "median_s": medians, **gates, "rotate_median_s": rotate}
 
 
 def threads(dirs, seed: int) -> dict:

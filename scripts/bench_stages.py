@@ -9,7 +9,6 @@ Stages:
                         included;
   kernel_n{8,16}        one ``purity_statistic`` (the Hamming kernel) of a
                         count vector over 2^8 and 2^16 outcomes;
-  rotate_state_l{8,16}  one rotation round, a fixed Haar unitary per qubit;
   random_round_l{8,16}  one ``experiment._random_round``: the draws, the
                         rotation, depolarizing at p_tot = 0.1 and the
                         multinomial, with the shot counts of the
@@ -18,6 +17,12 @@ Stages:
                         workload: the fused link blocks at t = 0.3 applied
                         to the prepared Neel ring;
   exact_twist_l16       one ``exact_twist`` of that state.
+Section ``rotate`` times one rotation round, a fixed Haar unitary per
+qubit, at L = 8, 10, 12, 14 and 16: ``rotate_state_s`` as the package
+does it, and ``k<k>_s`` for the cycled-block form with blocks of k = 1, 2
+and 4 qubits, the last block shorter where k does not divide L (checkouts
+without that form time only ``rotate_state``). ``rotate_state``'s block
+size, and the chain length from which it rotates in blocks, come from these.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 Section ``gate1q`` times the two forms of a one-qubit gate on every qubit
 of a random state at L = 8, 12 and 16: ``matmul`` (``np.matmul`` of the
@@ -55,6 +60,7 @@ import numpy as np  # noqa: E402
 P_TOT = 0.1
 SHOTS = {8: 4096, 16: 16384}  # per round, by chain length
 GATE_CALLS = {8: 500, 12: 100, 16: 10}  # calls per block, by chain length
+ROTATE_CALLS = {8: 100, 10: 50, 12: 20, 14: 10, 16: 5}  # calls per block
 KRON_MAX_ROWS = 64  # the kron form is timed up to this row length R
 
 
@@ -84,7 +90,7 @@ def _stages():
     from sshquench.circuits import evolution_circuit, prepare_neel
     from sshquench.experiment import _random_round
     from sshquench.observables import exact_twist
-    from sshquench.randmeas import purity_statistic, rotate_state, sample_haar_unitary
+    from sshquench.randmeas import purity_statistic, sample_haar_unitary
     from sshquench.state import Gate1Q
 
     rng = np.random.default_rng(11)
@@ -96,11 +102,6 @@ def _stages():
         counts = rng.multinomial(shots, np.full(1 << num_qubits, 1.0 / (1 << num_qubits)))
         yield (f"kernel_n{num_qubits}", calls,
                lambda c=counts, n=shots: purity_statistic(c, n, "unbiased"))
-    for num_sites, calls in ((8, 200), (16, 10)):
-        state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
-        unitaries = [sample_haar_unitary(rng) for _ in range(num_sites)]
-        yield (f"rotate_state_l{num_sites}", calls,
-               lambda s=state, us=unitaries: rotate_state(s, us))
     for num_sites, calls in ((8, 100), (16, 5)):
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         yield (f"random_round_l{num_sites}", calls,
@@ -161,6 +162,20 @@ def _gate_forms():
                 yield "gate2q", num_sites, a, "kron", calls, lambda p=psi: kron(block, p)
 
 
+def _rotations():
+    """(chain length, form, calls per block, one call) of section ``rotate``."""
+    from sshquench import quench_circuit, randmeas
+
+    blocks = getattr(randmeas, "_rotate_in_blocks", None)
+    rng = np.random.default_rng(13)
+    for num_sites, calls in ROTATE_CALLS.items():
+        state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
+        us = [randmeas.sample_haar_unitary(rng) for _ in range(num_sites)]
+        yield num_sites, "rotate_state", calls, lambda s=state: randmeas.rotate_state(s, us)
+        for k in (1, 2, 4) if blocks else ():
+            yield num_sites, f"k{k}", calls, lambda s=state, k=k: blocks(s, us, k)
+
+
 def _time(call, calls: int, repeats: int) -> dict:
     call()  # warm caches outside the timed blocks
     per_call = []
@@ -189,11 +204,16 @@ def measure(repeats: int) -> dict:
     for section, num_sites, q, form, calls, call in _gate_forms():
         row = gates[section].setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
         row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
+    rotate = {}
+    for num_sites, form, calls, call in _rotations():
+        row = rotate.setdefault(f"l{num_sites}", {})
+        row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
     return {
         "provenance": provenance(),
         "repeats": repeats,
         "stages": {name: _time(call, calls, repeats) for name, calls, call in _stages()},
         **gates,
+        "rotate": rotate,
     }
 
 

@@ -32,6 +32,15 @@ is exact, so either way each output is the one rounding of the exact
 a - b/2, with or without a fused multiply-add. Only subnormal inputs, which
 no count or probability here comes near, could tell the two apart.
 
+Rotation: from 12 qubits, ``rotate_state`` turns the raw amplitudes in
+cycled blocks of k = 4 qubits, as the kernel walks its axes: the leading k
+qubits' (2^k, rest) view, transposed, times the kron of their checked
+unitaries' transposes (broadcast, not ``np.kron``), goes out as the trailing
+axis. After ceil(L/k) stages every axis is back in place; one norm check ends
+the round. k = 4 beat k = 1 and 2 at L = 12-16 (``rotate`` in
+``scripts/bench_stages.py``). Below 12 qubits each qubit takes one
+``apply_gate``, as ``benchmark/test_bench.py`` counts those gates at L = 8.
+
 Counts: a round keeps the integer vector of length 2^L that the multinomial
 draw returns (``ShotTable.counts``); a subsystem marginal is a reshape, a sum
 over the other qubits and a transpose into the listed order.
@@ -50,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .state import Gate1Q, QuantumState, _validated_subset, apply_gate
+from .state import Gate1Q, QuantumState, _as_unitary, _validated_subset, apply_gate
 
 
 def child_generator(master_seed: int, *key: int) -> np.random.Generator:
@@ -115,12 +124,28 @@ class ShotTable:
 
 
 def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> QuantumState:
-    """Apply one single-qubit unitary per qubit."""
+    """One checked single-qubit unitary per qubit: from 12 qubits in cycled
+    blocks of 4 on the raw amplitudes, below that one ``apply_gate`` each,
+    which ``benchmark/test_bench.py`` counts at L = 8 (module docstring)."""
     if len(unitaries) != state.num_qubits:
         raise ValueError("need exactly one unitary per qubit")
+    if state.num_qubits >= 12:
+        return _rotate_in_blocks(state, unitaries, 4)
     for q, u in enumerate(unitaries):
         state = apply_gate(state, Gate1Q(u, q, name="RAND"))
     return state
+
+
+def _rotate_in_blocks(state: QuantumState, unitaries, block: int) -> QuantumState:
+    """Cycled stages of ``block`` qubits, the last shorter if ``block`` does not divide L."""
+    mats = [_as_unitary(u, 2).T for u in unitaries]
+    psi = state.amplitudes
+    for start in range(0, state.num_qubits, block):
+        factor = mats[start]
+        for m in mats[start + 1:start + block]:  # kron(factor, m), broadcast
+            factor = (factor[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(factor), -1)
+        psi = (psi.reshape(len(factor), -1).T @ factor).reshape(-1)
+    return QuantumState(state.num_qubits, psi)
 
 
 # one kernel stage: the row [a, b] of an axis' two halves becomes [a - b/2, b - a/2]

@@ -8,30 +8,25 @@ qubits is index 10. ``qubit_bits`` (reading bits out of indices) and
 vector reshaped to (2,)*L has qubit q on axis q in the same order.
 
 Gates act on views of the amplitude vector; no 2^L x 2^L operator matrix
-is ever materialized. A one-qubit gate on qubit q views the vector as
-(2^q, 2, R) with R = 2^(L-q-1), the gate's axis in the middle, and takes
-one of two forms:
-  - one ``np.matmul`` of the 2x2 matrix, broadcast over the leading axis,
-    when that axis is short (2^q <= MATMUL_LEADING) or the rows are long
-    (R >= MATMUL_ROWS);
-  - otherwise the kron form: the (2^q, 2R) view times kron(u, I_R).T, one
-    BLAS product whose (2R, 2R) factor is at most 32 x 32.
+is ever materialized. A gate on qubit q, or on the adjacent pair (q, q+1),
+views the vector as (2^q, d, R) with d = 2 or 4 and takes one of two forms:
+  - one ``np.matmul`` of the d x d matrix, broadcast over the leading axis,
+    when that axis is short (2^q <= MATMUL_LEADING for one qubit, q = 0 for
+    a pair) or the rows are long (dR >= 2 MATMUL_ROWS);
+  - otherwise the kron form: the (2^q, dR) view times kron(u, I_R).T, one
+    BLAS product whose (dR, dR) factor is at most 32 x 32.
 Matmul makes one small product per leading index, which costs more than
 one product over all of them once there are many and each is short. The
-rule comes from per-gate timings of both forms on every qubit at L = 8, 12
-and 16 (``scripts/bench_stages.py``, ``gate1q`` in ``BENCH_12.json``),
-where it picks the faster form on every qubit that has both timed (R <= 64;
-the kron form's cost grows with R beyond that). An elementwise form, two
-combinations of the two halves, is not used: its 2^L-sized temporaries cost
-1.6-2.3 ms per gate on q = 11..15 of L = 16 against 0.27-0.62 ms for the
-kron product. The two forms used differ only in the last bit of an
-amplitude (at most 3e-17 on random normalized states at L = 8, 12 and 16).
-A two-qubit gate on a pair (a, a+1) takes the same forms on the (2^a, 4, R)
-view: matmul when a = 0 or R >= MATMUL_ROWS, else the kron form with a
-(4R, 4R) factor. Each keeps the bits of the moveaxis form (checked on random
-states at L = 4..18), which matmul on rows R <= 2 would not. Any other
-pair, the wrap link (L-1, 0) and reversed pairs included, moves its two
-axes to the front and multiplies the (4, 2^(L-2)) view by its 4x4 matrix.
+rule picks the faster form in timings on every qubit and pair at L = 8, 12
+and 16 (``scripts/bench_stages.py``; ``BENCH_12.json`` and, for pairs with
+R = 16, 0.50 ms by matmul against 0.94 ms by kron, ``BENCH_15.json``). An
+elementwise form, whose 2^L-sized temporaries cost 3-6x the kron product on
+the last qubits of L = 16, is not used. For one qubit the forms differ in
+the last bit of an amplitude at most; for a pair each keeps the bits of the
+moveaxis form (checked at L = 4..18), which matmul on rows R <= 2 would
+not. Any other pair, the wrap link (L-1, 0) and reversed pairs included,
+moves its two axes to the front and multiplies the (4, 2^(L-2)) view by
+its 4x4 matrix.
 
 Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs
 less than a numpy product; Gate2Q keeps the numpy check.
@@ -46,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -236,7 +231,7 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     if one_qubit or b == a + 1:
         psi = state.amplitudes.reshape(1 << a, 2 if one_qubit else 4, -1)
         short_lead = MATMUL_LEADING if one_qubit else 1
-        if psi.shape[0] <= short_lead or psi.shape[2] >= MATMUL_ROWS:
+        if psi.shape[0] <= short_lead or psi.shape[1] * psi.shape[2] >= 2 * MATMUL_ROWS:
             out = np.matmul(gate.matrix, psi)
         else:
             out = _kron_form(gate.matrix, psi)
@@ -286,15 +281,6 @@ def counts_from_outcomes(outcomes: np.ndarray, num_qubits: int) -> np.ndarray:
     return np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=1 << num_qubits)
 
 
-def _subset_split(state: QuantumState, subset: Sequence[int]) -> np.ndarray:
-    """Reshape amplitudes to (2^|subset|, 2^|rest|), subset axes first."""
-    n = state.num_qubits
-    sub = list(subset)
-    rest = [q for q in range(n) if q not in set(sub)]
-    psi = state.amplitudes.reshape([2] * n)
-    return np.transpose(psi, sub + rest).reshape(1 << len(sub), -1)
-
-
 def _validated_subset(num_qubits: int, subset: Iterable[int]) -> tuple[int, ...]:
     sub = tuple(subset)
     if not sub:
@@ -313,7 +299,9 @@ def reduced_density_matrix(state: QuantumState, subset: Iterable[int]) -> np.nda
         raise CapacityError(
             f"dense reduced density matrix limited to {MAX_DENSE_SUBSET} qubits"
         )
-    m = _subset_split(state, sub)
+    rest = [q for q in range(state.num_qubits) if q not in sub]  # subset axes first
+    m = np.transpose(state.amplitudes.reshape([2] * state.num_qubits), list(sub) + rest)
+    m = m.reshape(1 << len(sub), -1)
     return m @ m.conj().T
 
 

@@ -15,14 +15,13 @@ STAGES = {
     "gate1q_construct",
     "kernel_n8",
     "kernel_n16",
-    "rotate_state_l8",
-    "rotate_state_l16",
     "random_round_l8",
     "random_round_l16",
     "state_build_l16",
     "exact_twist_l16",
 }
 GATE_SIZES = {8, 12, 16}
+ROTATE_SIZES = {8, 10, 12, 14, 16}
 KRON_MAX_ROWS = 64  # the script times the kron form up to this row length
 
 
@@ -33,7 +32,7 @@ def test_one_repeat_prints_every_stage():
         env=env, check=True, timeout=300, capture_output=True, text=True,
     )
     result = json.loads(proc.stdout)
-    assert set(result) == {"provenance", "repeats", "stages", "gate1q", "gate2q"}
+    assert set(result) == {"provenance", "repeats", "stages", "gate1q", "gate2q", "rotate"}
     assert set(result["provenance"]) == {"commit", "src_modified", "python", "numpy", "nproc"}
     assert result["repeats"] == 1
     assert set(result["stages"]) == STAGES
@@ -54,3 +53,6 @@ def test_one_repeat_prints_every_stage():
         for a in range(n - 1):
             kron = {"kron_s"} if 1 << (n - a - 2) <= KRON_MAX_ROWS else set()
             assert set(pairs[f"q{a}"]) == {"moveaxis_s", "matmul_s"} | kron
+    assert set(result["rotate"]) == {f"l{n}" for n in ROTATE_SIZES}
+    for forms in result["rotate"].values():
+        assert set(forms) == {"rotate_state_s", "k1_s", "k2_s", "k4_s"}

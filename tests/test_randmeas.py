@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import hamming_distance, random_state_vector
 from sshquench.circuits import h_gate, cx_gate, quench_circuit
-from sshquench.experiment import _measure, run_randomized_measurements
+from sshquench import randmeas
+from sshquench.experiment import _measure, run_experiment, run_randomized_measurements
 from sshquench.noise import apply_depolarizing
 from sshquench.randmeas import (
     ShotTable,
@@ -22,6 +23,7 @@ from sshquench.randmeas import (
     sample_haar_unitary,
 )
 from sshquench.state import (
+    Gate1Q,
     QuantumState,
     apply_gate,
     counts_from_outcomes,
@@ -255,6 +257,66 @@ class TestKernel:
         scale = 4.0
         want_unb = (plug * n * n - scale * n) / (n * (n - 1))
         assert unb == pytest.approx(want_unb, rel=1e-12)
+
+
+def _gate_by_gate(state, unitaries):
+    for q, u in enumerate(unitaries):
+        state = apply_gate(state, Gate1Q(u, q))
+    return state
+
+
+class TestBlockRotation:
+    @pytest.fixture
+    def no_gate_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the block rotation applied a gate")
+
+        monkeypatch.setattr(randmeas, "apply_gate", refuse)
+
+    @pytest.mark.parametrize("num_qubits", [12, 13, 14, 16])
+    def test_matches_gate_by_gate(self, num_qubits, no_gate_loop):
+        # 13 and 14 end on a shorter block than the other stages
+        rng = np.random.default_rng(num_qubits)
+        states = [QuantumState(num_qubits, random_state_vector(num_qubits, rng))]
+        if num_qubits % 2 == 0:
+            states.append(quench_circuit(0.3, num_qubits, "singlet", "pbc").run())
+        for state in states:
+            us = [sample_haar_unitary(rng) for _ in range(num_qubits)]
+            want = _gate_by_gate(state, us).amplitudes
+            got = rotate_state(state, us).amplitudes
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+    def test_every_block_size_matches_gate_by_gate(self, block):
+        rng = np.random.default_rng(block)
+        state = QuantumState(12, random_state_vector(12, rng))
+        us = [sample_haar_unitary(rng) for _ in range(12)]
+        got = randmeas._rotate_in_blocks(state, us, block).amplitudes
+        np.testing.assert_allclose(got, _gate_by_gate(state, us).amplitudes, rtol=0, atol=1e-14)
+
+    def test_checks_count_and_each_unitary(self, no_gate_loop):
+        rng = np.random.default_rng(5)
+        state = QuantumState(12, random_state_vector(12, rng))
+        us = [sample_haar_unitary(rng) for _ in range(12)]
+        for wrong in (us[:-1], us + us[:1]):
+            with pytest.raises(ValueError, match="one unitary per qubit"):
+                rotate_state(state, wrong)
+        for q, bad, match in ((0, np.diag([1.0, 2.0]), "not unitary"),
+                              (11, [[np.nan, 0], [0, 1]], "not unitary"),
+                              (6, np.eye(3), "2x2")):
+            with pytest.raises(ValueError, match=match):
+                rotate_state(state, us[:q] + [bad] + us[q + 1:])
+
+    def test_entropy_run_same_bytes_for_one_and_two_threads(self, tmp_path, no_gate_loop):
+        conf = tmp_path / "l12.conf"
+        conf.write_text(
+            "L = 12\ninitial = singlet\nboundary = pbc\ntimes = 0.2, 0.5\n"
+            "quantities = entropy\nn_unitaries = 4\nn_shots = 256\n"
+            "p_layer = 0.005\nmitigate = on\nseed = 12\n"
+        )
+        runs = [run_experiment(conf, tmp_path / f"threads{n}", threads=n, quiet=True)
+                for n in (1, 2)]
+        assert (runs[0] / "entropy.csv").read_bytes() == (runs[1] / "entropy.csv").read_bytes()
 
 
 class TestPurityEstimation:

@@ -166,8 +166,9 @@ class TestGates:
     @pytest.mark.parametrize("num_qubits", [4, 6, 8, 12, 16])
     def test_adjacent_two_qubit_gate_keeps_the_moveaxis_bits(self, num_qubits, monkeypatch):
         # every pair (a, a+1) gives the bits of the moveaxis form, through
-        # matmul for a = 0 or rows of at least MATMUL_ROWS and the kron form
-        # otherwise; matmul on rows of 1 or 2 would move bits at L = 4 and 6
+        # matmul for a = 0 or factor rows 4R of at least 2 * MATMUL_ROWS and
+        # the kron form otherwise; matmul on rows of 1 or 2 would move bits
+        # at L = 4 and 6
         kron_calls = []
 
         def counted_kron(u, psi):
@@ -184,7 +185,8 @@ class TestGates:
                 got = apply_gate(state, Gate2Q(m, (a, a + 1)))
                 want = _moveaxis_two_qubit(m, vec, (a, a + 1), num_qubits)
                 assert np.array_equal(got.amplitudes, want)
-        kron_pairs = sum(1 << (num_qubits - a - 2) < MATMUL_ROWS for a in range(1, num_qubits - 1))
+        kron_pairs = sum(4 << (num_qubits - a - 2) < 2 * MATMUL_ROWS
+                         for a in range(1, num_qubits - 1))
         assert 0 < kron_pairs < num_qubits - 1
         assert len(kron_calls) == len(matrices) * kron_pairs
 
