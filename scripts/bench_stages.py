@@ -171,9 +171,10 @@ def _rotations():
     for num_sites, calls in ROTATE_CALLS.items():
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         us = [randmeas.sample_haar_unitary(rng) for _ in range(num_sites)]
-        yield num_sites, "rotate_state", calls, lambda s=state: randmeas.rotate_state(s, us)
+        yield (num_sites, "rotate_state", calls,
+               lambda s=state, us=us: randmeas.rotate_state(s, us))
         for k in (1, 2, 4) if blocks else ():
-            yield num_sites, f"k{k}", calls, lambda s=state, k=k: blocks(s, us, k)
+            yield num_sites, f"k{k}", calls, lambda s=state, us=us, k=k: blocks(s, us, k)
 
 
 def _time(call, calls: int, repeats: int) -> dict:
