@@ -16,7 +16,9 @@ Stages:
   state_build_l16       one time point's state of the ``twist_l16_readout``
                         workload: the fused link blocks at t = 0.3 applied
                         to the prepared Neel ring;
-  exact_twist_l16       one ``exact_twist`` of that state.
+  exact_twist_l16       one ``exact_twist`` of that state;
+  flip_outcomes_l16     one ``flip_outcomes`` at f = 0.02 of 65536 shots
+                        sampled from that state, as that workload flips them.
 Section ``rotate`` times one rotation round, a fixed Haar unitary per
 qubit, at L = 8, 10, 12, 14 and 16: ``rotate_state_s`` as the package
 does it, and ``k<k>_s`` for the cycled-block form with blocks of k = 1, 2
@@ -59,6 +61,7 @@ import numpy as np  # noqa: E402
 
 P_TOT = 0.1
 SHOTS = {8: 4096, 16: 16384}  # per round, by chain length
+TWIST_SHOTS, TWIST_FLIP = 65536, 0.02  # per time point of ``twist_l16_readout``
 GATE_CALLS = {8: 500, 12: 100, 16: 10}  # calls per block, by chain length
 ROTATE_CALLS = {8: 100, 10: 50, 12: 20, 14: 10, 16: 5}  # calls per block
 KRON_MAX_ROWS = 64  # the kron form is timed up to this row length R
@@ -90,8 +93,9 @@ def _stages():
     from sshquench.circuits import evolution_circuit, prepare_neel
     from sshquench.experiment import _random_round
     from sshquench.observables import exact_twist
+    from sshquench.noise import flip_outcomes
     from sshquench.randmeas import purity_statistic, sample_haar_unitary
-    from sshquench.state import Gate1Q
+    from sshquench.state import Gate1Q, probabilities, sample_outcomes
 
     rng = np.random.default_rng(11)
     yield "sample_haar_unitary", 2000, lambda: sample_haar_unitary(rng)
@@ -111,6 +115,8 @@ def _stages():
     yield "state_build_l16", 20, lambda: evolution.apply(start)
     state = evolution.apply(start)
     yield "exact_twist_l16", 50, lambda: exact_twist(state, q=1, kind="spin")
+    outcomes = sample_outcomes(probabilities(state), TWIST_SHOTS, rng)
+    yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
 
 
 def _kron_forms():

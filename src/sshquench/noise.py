@@ -17,6 +17,10 @@ and exact states obey
 which is inverted for mitigation, with p estimated per time point from the
 measured full-system purity (exact full purity is 1 for a pure state).
 Readout noise, independent per-bit flips, exercises symmetry postselection.
+Only the flipped bits are drawn: read row by row, the (shot, qubit) grid's
+gaps between flipped bits are i.i.d. Geometric(f) (Bernoulli thinning by
+geometric skips; Devroye, Non-Uniform Random Variate Generation, 1986, ch.
+X), so the draw depends on (N, L, f) alone, not on the outcomes.
 """
 from __future__ import annotations
 
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-
-from .state import pack_bits
 
 
 def effective_p_tot(p_layer: float, num_layers: int) -> float:
@@ -48,14 +50,26 @@ def apply_depolarizing(distribution: np.ndarray, p_tot: float) -> np.ndarray:
 def flip_outcomes(
     outcomes: np.ndarray, num_qubits: int, flip_prob: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized readout flips over an array of outcome indices."""
+    """Flip each bit of each outcome index with probability ``flip_prob``.
+
+    Flat flip positions ``shot * L + qubit`` are cumsums of geometric gaps,
+    less one, drawn in chunks until they pass N L. A shot's masks
+    ``1 << (L-1-q)`` are distinct bits, so ``bincount``'s float sum is their OR.
+    """
     if not 0.0 <= flip_prob <= 0.5:
         raise ValueError(f"flip_prob must be in [0, 0.5], got {flip_prob}")
     out = np.asarray(outcomes, dtype=np.int64)
     if flip_prob == 0.0 or out.size == 0:
         return out.copy()
-    flips = rng.random((out.size, num_qubits)) < flip_prob
-    return out ^ pack_bits(flips)
+    size = out.size * num_qubits
+    chunk = int(size * flip_prob + 4.0 * sqrt(size * flip_prob)) + 2
+    pos = np.array([-1])
+    while pos[-1] < size:  # gaps past N L are cut to N L + 1, so sums never overflow
+        gaps = np.minimum(rng.geometric(flip_prob, chunk), size + 1)
+        pos = np.append(pos, pos[-1] + np.cumsum(gaps))
+    shot, qubit = np.divmod(pos[1 : np.searchsorted(pos, size)], num_qubits)
+    masks = np.left_shift(1, num_qubits - 1 - qubit)
+    return out ^ np.bincount(shot, masks, out.size).astype(np.int64)
 
 
 def forward_noisy_purity(exact_purity: float, p_tot: float, subsystem_size: int) -> float:

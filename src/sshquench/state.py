@@ -3,9 +3,9 @@
 Bit convention used by every module in this package: chain site 1 is qubit 0
 and occupies the MOST significant bit of an amplitude index. The two-qubit
 bitstring "10" is therefore index 2, and the Neel pattern "1010" on four
-qubits is index 10. ``qubit_bits`` (reading bits out of indices) and
-``pack_bits`` (its inverse) write this order down for index arrays; a count
-vector reshaped to (2,)*L has qubit q on axis q in the same order.
+qubits is index 10. ``qubit_bits`` (reading bits out of indices) writes this
+order down for index arrays; a count vector reshaped to (2,)*L has qubit q
+on axis q in the same order.
 
 Gates act on views of the amplitude vector; no 2^L x 2^L operator matrix
 is ever materialized. A gate on qubit q, or on the adjacent pair (q, q+1),
@@ -82,7 +82,7 @@ def _unitarity_defect_2x2(m: np.ndarray) -> float:
 
 
 def _as_unitary(matrix, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = np.array(matrix, dtype=complex)  # a copy: the caller's array stays writeable
     if m.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     if dim == 2:
@@ -186,13 +186,6 @@ def qubit_bits(keys: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
         bit = keys >> (num_qubits - 1 - q)
         bit &= 1
         yield bit
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Inverse of ``qubit_bits`` for 0/1 bits along the last axis, the first as
-    the MSB. One exact product: each partial sum is an integer below 2^53."""
-    weights = 2.0 ** np.arange(bits.shape[-1] - 1, -1, -1)
-    return (bits.astype(float) @ weights).astype(np.int64)
 
 
 def new_basis_state(num_qubits: int, bits: str) -> QuantumState:

@@ -19,6 +19,7 @@ STAGES = {
     "random_round_l16",
     "state_build_l16",
     "exact_twist_l16",
+    "flip_outcomes_l16",
 }
 GATE_SIZES = {8, 12, 16}
 ROTATE_SIZES = {8, 10, 12, 14, 16}

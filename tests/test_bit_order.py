@@ -17,7 +17,7 @@ from sshquench.observables import (
     postselect_half_filling,
 )
 from sshquench.randmeas import ShotTable, marginal_counts
-from sshquench.state import index_to_bits, pack_bits, qubit_bits
+from sshquench.state import index_to_bits, qubit_bits
 
 
 @st.composite
@@ -45,7 +45,9 @@ def test_helper_matches_strings(case):
     strings = [index_to_bits(int(k), n) for k in keys]
     for q, bits in enumerate(qubit_bits(keys, n)):
         assert bits.tolist() == [int(s[q]) for s in strings]
-    assert pack_bits(np.stack(list(qubit_bits(keys, n)), axis=-1)).tolist() == keys.tolist()
+    assert sum(bits << (n - 1 - q) for q, bits in enumerate(qubit_bits(keys, n))).tolist() == (
+        keys.tolist()
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -90,14 +92,18 @@ def test_postselect_filter_matches_strings(case):
 @settings(max_examples=80, deadline=None)
 @given(measured_counts(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
 def test_flip_outcomes_replayed_on_strings(case, seed, flip_prob):
+    # the flipped bits are the cumulative sums of geometric gaps, less one, in
+    # the shots' strings read one after another; one long draw replays the
+    # chunked ones, since each gap is drawn in turn from the same stream
     n, counts = case
     keys = np.array(list(counts), dtype=np.int64)
     rng = np.random.default_rng(seed)
     clone = copy.deepcopy(rng)
     got = flip_outcomes(keys, n, flip_prob, rng)
-    flips = clone.random((keys.size, n)) < flip_prob
-    want = [
-        int("".join(str(int(ch) ^ int(f)) for ch, f in zip(index_to_bits(int(k), n), row)), 2)
-        for k, row in zip(keys, flips)
-    ]
-    assert got.tolist() == want
+    chars = [list(index_to_bits(int(k), n)) for k in keys]
+    positions = np.cumsum(clone.geometric(flip_prob, 64 * keys.size * n)) - 1
+    for pos in positions[positions < keys.size * n].tolist():
+        row, q = divmod(pos, n)
+        chars[row][q] = "10"[int(chars[row][q])]
+    assert positions[-1] >= keys.size * n
+    assert got.tolist() == [int("".join(c), 2) for c in chars]

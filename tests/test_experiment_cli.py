@@ -1,6 +1,7 @@
 """End-to-end runs through the experiment pipeline and the CLI."""
 import itertools
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,49 @@ class TestReport:
         assert sorted(path.name for path in out.iterdir()) == sorted(set(old) - {"manifest.txt"})
         for name in old.keys() - {"manifest.txt"}:
             assert (out / name).read_bytes() == old[name]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert "manifest.txt" in capsys.readouterr().err
+
+    def test_killed_rerun_leaves_each_file_old_or_new(self, tmp_path, capsys):
+        # the child kills itself in the second file replacement, after the
+        # temporary file is written and before it moves into place
+        conf = _write_config(tmp_path, SMALL)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        assert main(["run", str(conf), "--out", str(fresh), "--quiet", "--seed", "5"]) == 0
+        old = {path.name: path.read_bytes() for path in out.iterdir()}
+        new = {path.name: path.read_bytes() for path in fresh.iterdir()}
+        child = (
+            "import os, signal, sys\n"
+            "from pathlib import Path\n"
+            "from sshquench import experiment\n"
+            "from sshquench.cli import main\n"
+            "replace_file, calls = experiment._replace_file, []\n"
+            "def replace_file_then_die(path, text):\n"
+            "    calls.append(path)\n"
+            "    if len(calls) == 2:\n"
+            "        Path.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    replace_file(path, text)\n"
+            "experiment._replace_file = replace_file_then_die\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "run", str(conf), "--out", str(out), "--quiet",
+             "--seed", "5"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        left = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert "manifest.txt" not in left
+        sources = set()
+        for name, data in left.items():
+            final = name.removeprefix(".").removesuffix(".partial")
+            assert data in (old.get(final), new.get(final)), name
+            sources.add("new" if data == new.get(final) else "old")
+        assert sources == {"old", "new"}  # killed between two files, not before or after
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         assert "manifest.txt" in capsys.readouterr().err

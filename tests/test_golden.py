@@ -131,7 +131,7 @@ GOLDEN = {
         "manifest.txt": "d628e069e9c62ca8ee8b606e2024dade8b6fbc8b572183c8ed6b3c5146798249",
     },
     "noisy_mitigated_entropy": {
-        "entropy.csv": "fb9abb18531ad2738d7e1f4f2c70d2f5e6b9d175f7e80ef733c37124b8f8fd4d",
+        "entropy.csv": "6ec84e7cdd97ee9fa3dc8b883fe2fb9864492f9905dc5fe9239b8bc8d94b931b",
         "manifest.txt": "de264610a479ca96b8b1dd68ed0e87bfeb570639f47301b69ef8f1f5db55f064",
     },
     # Recorded on states built from the fused link blocks. The gate-level
@@ -140,26 +140,26 @@ GOLDEN = {
     # spends a random draw on every nonzero entry, so the shot stream of a
     # singlet run without local rotations depends on which build made it.
     "twist_berry_readout": {
-        "berry.csv": "9018a62c87368bd24ce396aeccf397a48f9ecceaa4c9d1b635ff3b8c0258ea61",
-        "twist.csv": "335670866e44c23c4c13c48d34d40563b95d24fee2b290bc3a35598f70eab345",
+        "berry.csv": "6c80b696a59595b2342ea43c9e5dd687cea86ded69e9b68fd515bcf3a9728ffd",
+        "twist.csv": "72a3367ac2e0202c0c6c34d70fcfad78dc4fd170c5b05a3fdf79d8783e652f0f",
         "manifest.txt": "908a909c8c970c7585bc01acea255db371878660b18164c37f9c29ca9f2968c3",
     },
     "writers_full": {
-        "berry.csv": "131ff86a79ada1e67043c92e21e2376929fd8c754d6e03ed7ae1853301d041c6",
-        "entropy.csv": "8092d599837d30ecafd2e7eda7fe0d1c0336ed22a854a56e9b2e1dc7c12765c0",
-        "twist.csv": "352f92843610a1c415f93480432823f2b0a38f3dd81d9b999823113c59e789a5",
+        "berry.csv": "4c6dc3027e3a94b1a47b7d00bca619c10787a1fac6307c4de413e63a48ca0ee9",
+        "entropy.csv": "b212c3cc920c2019f261bfde39ef0f38eba88921a9ef8247d64ceec5fa17480c",
+        "twist.csv": "008dcb70eaff279f6ac9697054cc376d060fb2b23773391312596728503dab83",
         "manifest.txt": "1775bb160594253455c012182352cf8c419f4aeb825ea891d4f4ffb5811b2d41",
-        "shots/entropy_t0000.txt": "2b0a7fe03ef2f9476b68e1044aebdb07db7ccd993ba02cd0e4bb449e8e979f51",
-        "shots/entropy_t0001.txt": "168996f9db411f3fb5fd43431935030865db711ece7bcdcdf2f3e93ccdd5b376",
-        "shots/entropy_t0002.txt": "b0de2ddfac23eaa42a6eddda8a027dce8a265521de1f3b52a2ab9950909e58cb",
-        "shots/entropy_t0003.txt": "0b8f048a3298fb1a533db91dffc6257f5763c0d442602f7214f9645464d2deb5",
-        "shots/entropy_t0004.txt": "3a1f3acf0b1e3ccad347407bb6e809592259165174d84eb29fcff3b74f79b435",
-        "shots/twist_t0000.txt": "4efda7d50da0c64d12d9b3866c1a43fca81b08d4a1e7d6faded6e3d44602ed95",
-        "shots/twist_t0001.txt": "9650849206cd9707076b10c6f40e9b50a2ce0198ab9749e03a168af87e1364af",
-        "shots/twist_t0002.txt": "7e20b6e399e923b26af09873fb2c9bcee80b34901b38418defa6f941dec12ec2",
-        "shots/twist_t0003.txt": "d9476571086885a236c28ab69e2152e60a684b7b0d6a0e4a824b34ffa54d7f2f",
-        "shots/twist_t0004.txt": "6dca1eb092f20ffa1368fa827ab7ed1eb79122013807f8cdd5a4e22e4c735718",
-        "summary.txt": "1348a86a1521cda5a2eacd352355a4e7e011000c1ab8d5992c2be6a7290e03d0",
+        "shots/entropy_t0000.txt": "03808093dcbae1a8613aa5d54bd2b6de96bbaf16f3dd5073899a3b1f833a57db",
+        "shots/entropy_t0001.txt": "11fe064cc2b19bb921cb68a3ea9025036bd54f6faea4e1367f34bef857ad7234",
+        "shots/entropy_t0002.txt": "da6e0fad7e31b53ab6a25e0be89663d60afcdf4628020e6a072bae27f79b16aa",
+        "shots/entropy_t0003.txt": "0e139102cc5524203f377f3623129ccc4f46d629c109cb543dceaf4d9730e597",
+        "shots/entropy_t0004.txt": "adaf440a4b28b178e3e8d428bcb5e65efc50991f16bbe2df8564449f6b0bb934",
+        "shots/twist_t0000.txt": "0e5a6bfb3095e5356ae91998d203a0710bc758183211077e08af30f323b85542",
+        "shots/twist_t0001.txt": "dc355b1f3b7fb8e47455379263726b64f79f190f5b66b7ed17544e7e82b347fc",
+        "shots/twist_t0002.txt": "4bedbda75018c98ebb82ab22fa1a51b0802606ba825cbc2ba97daa1b88ae5a72",
+        "shots/twist_t0003.txt": "bfc228b216d34a46de15067851d90b25138a07a1b83f24fe0e0b18a534709b9e",
+        "shots/twist_t0004.txt": "f3dd36a8f456456fbafd072474c69aacea9aa1568e068a63017c6c0c663760d3",
+        "summary.txt": "71a954a3ffe45663d94dc3824bb0a41f42b9167fafaf94606f4b5e659d8ce0e7",
     },
     "exact_all_quantities": {
         "berry.csv": "8c1385a9d4e9e3746806a3d30ede3f04e03bade95aca216db00f5f84382ea92c",

@@ -79,6 +79,63 @@ class TestReadoutFlips:
         with pytest.raises(ValueError):
             flip_outcomes(np.array([0]), 2, 0.7, np.random.default_rng(0))
 
+    @staticmethod
+    def _flip_bits(num_shots, num_sites, q, seed):
+        """(shot, qubit) 0/1 grid of the bits flipped on random outcomes."""
+        rng = np.random.default_rng(seed)
+        start = rng.integers(0, 1 << num_sites, num_shots)
+        flipped = flip_outcomes(start, num_sites, q, rng) ^ start
+        return np.stack([(flipped >> (num_sites - 1 - k)) & 1 for k in range(num_sites)], 1)
+
+    def test_per_bit_rate(self):
+        num_shots, num_sites, q = 200_000, 8, 0.02
+        bits = self._flip_bits(num_shots, num_sites, q, 23)
+        sigma = np.sqrt(q * (1 - q) / num_shots)
+        assert np.abs(bits.mean(axis=0) - q).max() < 4 * sigma
+
+    def test_pairs_flip_independently(self):
+        # within a shot, and from a shot's last qubit to the next shot's first
+        num_shots, num_sites, q = 200_000, 6, 0.1
+        bits = self._flip_bits(num_shots, num_sites, q, 29)
+        sigma = np.sqrt(q * q * (1 - q * q) / num_shots)
+        joint = (bits.T @ bits) / num_shots
+        pairs = joint[np.triu_indices(num_sites, 1)]
+        assert np.abs(pairs - q * q).max() < 4 * sigma
+        across = np.mean(bits[:-1, -1] & bits[1:, 0])
+        assert abs(across - q * q) < 4 * sigma
+
+    def test_flips_per_shot_are_binomial(self):
+        from scipy import stats
+
+        num_shots, num_sites, q = 100_000, 16, 0.02
+        per_shot = self._flip_bits(num_shots, num_sites, q, 31).sum(axis=1)
+        want = num_shots * stats.binom.pmf(np.arange(num_sites + 1), num_sites, q)
+        last = int(np.flatnonzero(want >= 5)[-1])  # pool the tail below 5 expected
+        seen = np.bincount(per_shot, minlength=num_sites + 1)
+        seen = np.append(seen[:last], seen[last:].sum())
+        want = np.append(want[:last], want[last:].sum())
+        assert stats.chisquare(seen, want).pvalue > 1e-3
+
+    @pytest.mark.parametrize("q", [0.0, 1e-300, 1e-9, 0.5])
+    def test_extreme_rates_and_input_untouched(self, q):
+        start = np.random.default_rng(37).integers(0, 256, 10_000)
+        start.setflags(write=False)
+        kept = start.copy()
+        out = flip_outcomes(start, 8, q, np.random.default_rng(41))
+        np.testing.assert_array_equal(start, kept)
+        assert out is not start and out.dtype == np.int64
+        if q < 0.5:  # 1e-9 expects 8e-5 flips over these 80000 bits; 1e-300
+            # draws gaps at the int64 maximum, whose sums must not wrap around
+            np.testing.assert_array_equal(out, start)
+        else:
+            ones = np.array([np.mean(((out ^ start) >> k) & 1) for k in range(8)])
+            assert np.abs(ones - 0.5).max() < 4 * np.sqrt(0.25 / start.size)
+
+    @pytest.mark.parametrize("q", [0.0, 0.02])
+    def test_empty_input(self, q):
+        out = flip_outcomes(np.array([], dtype=np.int64), 4, q, np.random.default_rng(0))
+        assert out.shape == (0,) and out.dtype == np.int64
+
 
 class TestErrorRateEstimation:
     def test_clean_purity_gives_zero(self):

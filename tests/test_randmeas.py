@@ -307,6 +307,15 @@ class TestBlockRotation:
             with pytest.raises(ValueError, match=match):
                 rotate_state(state, us[:q] + [bad] + us[q + 1:])
 
+    @pytest.mark.parametrize("num_qubits", [8, 12])
+    def test_callers_unitaries_stay_writeable(self, num_qubits):
+        # gate by gate below 12 qubits, in blocks from 12
+        rng = np.random.default_rng(num_qubits)
+        state = QuantumState(num_qubits, random_state_vector(num_qubits, rng))
+        us = [sample_haar_unitary(rng) for _ in range(num_qubits)]
+        rotate_state(state, us)
+        assert all(u.flags.writeable for u in us)
+
     def test_entropy_run_same_bytes_for_one_and_two_threads(self, tmp_path, no_gate_loop):
         conf = tmp_path / "l12.conf"
         conf.write_text(

@@ -225,6 +225,15 @@ class TestGates:
             with pytest.raises(ValueError, match="unitary"):
                 Gate2Q(np.diag([bad, 1, 1, 1]), (0, 1))
 
+    def test_callers_matrix_stays_writeable(self):
+        u, v = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+        one, two = Gate1Q(u, 0), Gate2Q(v, (0, 1))
+        assert u.flags.writeable and v.flags.writeable
+        assert not one.matrix.flags.writeable and not two.matrix.flags.writeable
+        u[0, 0] = v[0, 0] = -1.0  # the gates keep their own copies
+        np.testing.assert_array_equal(one.matrix, np.eye(2))
+        np.testing.assert_array_equal(two.matrix, np.eye(4))
+
     def test_unitarity_identities_read_only(self):
         np.testing.assert_array_equal(_IDENTITY_4, np.eye(4))
         with pytest.raises(ValueError):
