@@ -45,9 +45,8 @@ def test_helper_matches_strings(case):
     strings = [index_to_bits(int(k), n) for k in keys]
     for q, bits in enumerate(qubit_bits(keys, n)):
         assert bits.tolist() == [int(s[q]) for s in strings]
-    assert sum(bits << (n - 1 - q) for q, bits in enumerate(qubit_bits(keys, n))).tolist() == (
-        keys.tolist()
-    )
+    packed = sum(bits << (n - 1 - q) for q, bits in enumerate(qubit_bits(keys, n)))
+    assert packed.tolist() == keys.tolist()
 
 
 @settings(max_examples=120, deadline=None)

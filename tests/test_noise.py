@@ -116,6 +116,20 @@ class TestReadoutFlips:
         want = np.append(want[:last], want[last:].sum())
         assert stats.chisquare(seen, want).pvalue > 1e-3
 
+    def test_short_chunks_replay_one_long_draw(self):
+        # a generator that hands out at most 3 gaps a call sends the draw
+        # round its loop many times; the flips must not change
+        class ShortChunks:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def geometric(self, p, size):
+                return self.rng.geometric(p, min(size, 3))
+
+        start = np.arange(500) % 64
+        got = flip_outcomes(start, 6, 0.1, ShortChunks(43))
+        np.testing.assert_array_equal(got, flip_outcomes(start, 6, 0.1, np.random.default_rng(43)))
+
     @pytest.mark.parametrize("q", [0.0, 1e-300, 1e-9, 0.5])
     def test_extreme_rates_and_input_untouched(self, q):
         start = np.random.default_rng(37).integers(0, 256, 10_000)
