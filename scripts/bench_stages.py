@@ -92,8 +92,8 @@ def _stages():
     from sshquench import quench_circuit
     from sshquench.circuits import evolution_circuit, prepare_neel
     from sshquench.experiment import _random_round
-    from sshquench.observables import exact_twist
     from sshquench.noise import flip_outcomes
+    from sshquench.observables import exact_twist
     from sshquench.randmeas import purity_statistic, sample_haar_unitary
     from sshquench.state import Gate1Q, probabilities, sample_outcomes
 
