@@ -133,7 +133,7 @@ def stages(dirs) -> dict:
                         for form in forms}
                     for q, forms in qubits.items()
                 }
-                for size, qubits in runs[side][0].get(section, {}).items()
+                for size, qubits in runs[side][0][section].items()
             }
             for side in SIDES
         }

@@ -22,9 +22,9 @@ Stages:
 Section ``rotate`` times one rotation round, a fixed Haar unitary per
 qubit, at L = 8, 10, 12, 14 and 16: ``rotate_state_s`` as the package
 does it, and ``k<k>_s`` for the cycled-block form with blocks of k = 1, 2
-and 4 qubits, the last block shorter where k does not divide L (checkouts
-without that form time only ``rotate_state``). ``rotate_state``'s block
-size, and the chain length from which it rotates in blocks, come from these.
+and 4 qubits, the last block shorter where k does not divide L.
+``rotate_state``'s block size, and the chain length from which it rotates
+in blocks, come from these.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 Section ``gate1q`` times the two forms of a one-qubit gate on every qubit
 of a random state at L = 8, 12 and 16: ``matmul`` (``np.matmul`` of the
@@ -34,8 +34,7 @@ rows R of at most ``KRON_MAX_ROWS``). ``apply_gate`` picks between them by
 times a fused link block on every adjacent pair (a, a+1) of such states in
 three forms: ``moveaxis`` (both axes moved to the front, one (4, 2^(L-2))
 product, moved back), ``matmul`` into the (2^a, 4, R) view and ``kron``
-(for R of at most ``KRON_MAX_ROWS``, where the package's kron form takes
-4x4 matrices).
+(for R of at most ``KRON_MAX_ROWS``).
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
 blocks of the time per call, in seconds. The JSON goes to stdout. The
@@ -119,18 +118,6 @@ def _stages():
     yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
 
 
-def _kron_forms():
-    """The package's kron gate form, and whether it takes 4x4 matrices.
-
-    Checkouts before the two-qubit form have only the one-qubit
-    ``_kron_one_qubit``.
-    """
-    from sshquench import state
-
-    two_qubit = getattr(state, "_kron_form", None)
-    return two_qubit or state._kron_one_qubit, two_qubit is not None
-
-
 def _moveaxis(m, vec, a, num_sites):
     """``m`` on qubits (a, a+1) with both axes moved to the front and back."""
     psi = np.moveaxis(vec.reshape([2] * num_sites), (a, a + 1), (0, 1)).reshape(4, -1)
@@ -146,8 +133,8 @@ def _gate_forms():
     """
     from sshquench.circuits import coupling_block_matrix
     from sshquench.randmeas import sample_haar_unitary
+    from sshquench.state import _kron_form
 
-    kron, kron_two_qubit = _kron_forms()
     rng = np.random.default_rng(12)
     u = sample_haar_unitary(rng)
     block = coupling_block_matrix(0.3)
@@ -158,29 +145,30 @@ def _gate_forms():
             psi = vec.reshape(1 << q, 2, -1)
             yield "gate1q", num_sites, q, "matmul", calls, lambda p=psi: np.matmul(u, p)
             if psi.shape[2] <= KRON_MAX_ROWS:  # its (2R, 2R) factor has 4 R^2 entries
-                yield "gate1q", num_sites, q, "kron", calls, lambda p=psi: kron(u, p)
+                yield "gate1q", num_sites, q, "kron", calls, lambda p=psi: _kron_form(u, p)
         for a in range(num_sites - 1):
             psi = vec.reshape(1 << a, 4, -1)
             yield ("gate2q", num_sites, a, "moveaxis", calls,
                    lambda a=a, n=num_sites: _moveaxis(block, vec, a, n))
             yield "gate2q", num_sites, a, "matmul", calls, lambda p=psi: np.matmul(block, p)
-            if kron_two_qubit and psi.shape[2] <= KRON_MAX_ROWS:
-                yield "gate2q", num_sites, a, "kron", calls, lambda p=psi: kron(block, p)
+            if psi.shape[2] <= KRON_MAX_ROWS:
+                yield ("gate2q", num_sites, a, "kron", calls,
+                       lambda p=psi: _kron_form(block, p))
 
 
 def _rotations():
     """(chain length, form, calls per block, one call) of section ``rotate``."""
-    from sshquench import quench_circuit, randmeas
+    from sshquench import quench_circuit
+    from sshquench.randmeas import _rotate_in_blocks, rotate_state, sample_haar_unitary
 
-    blocks = getattr(randmeas, "_rotate_in_blocks", None)
     rng = np.random.default_rng(13)
     for num_sites, calls in ROTATE_CALLS.items():
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
-        us = [randmeas.sample_haar_unitary(rng) for _ in range(num_sites)]
-        yield (num_sites, "rotate_state", calls,
-               lambda s=state, us=us: randmeas.rotate_state(s, us))
-        for k in (1, 2, 4) if blocks else ():
-            yield num_sites, f"k{k}", calls, lambda s=state, us=us, k=k: blocks(s, us, k)
+        us = [sample_haar_unitary(rng) for _ in range(num_sites)]
+        yield num_sites, "rotate_state", calls, lambda s=state, us=us: rotate_state(s, us)
+        for k in (1, 2, 4):
+            yield (num_sites, f"k{k}", calls,
+                   lambda s=state, us=us, k=k: _rotate_in_blocks(s, us, k))
 
 
 def _time(call, calls: int, repeats: int) -> dict:

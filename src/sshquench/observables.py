@@ -30,15 +30,14 @@ BERRY_RELIABLE_MAGNITUDE = 1e-3  # below this the argument is noise-dominated
 
 
 @lru_cache(maxsize=8)
-def _weighted_occupation_table(num_sites: int) -> np.ndarray:
-    """W[index] = sum_j j s_j over sites j = 1..L, for every basis index."""
-    w = _weighted_occupation_of(np.arange(1 << num_sites, dtype=np.int64), num_sites)
-    w.setflags(write=False)
-    return w
-
-
-def _weighted_occupation_of(keys: np.ndarray, num_sites: int) -> np.ndarray:
-    return sum(j * s for j, s in enumerate(qubit_bits(keys, num_sites), start=1))
+def _bit_sums(num_sites: int) -> np.ndarray:
+    """Rows W = sum_j j s_j (sites j = 1..L) and H = sum_j s_j at every basis index."""
+    sums = np.zeros((2, 1 << num_sites), dtype=np.int16)  # W <= 300 at the 24-qubit cap
+    for j, s in enumerate(qubit_bits(np.arange(1 << num_sites), num_sites), start=1):
+        sums[0] += j * s
+        sums[1] += s
+    sums.setflags(write=False)
+    return sums
 
 
 def _phase_angles(weighted: np.ndarray, num_sites: int, q: int, kind: str) -> np.ndarray:
@@ -52,7 +51,7 @@ def _phase_angles(weighted: np.ndarray, num_sites: int, q: int, kind: str) -> np
 
 @lru_cache(maxsize=16)
 def _phase_factors(num_sites: int, q: int, kind: str) -> np.ndarray:
-    """exp(i phase) at every W = 0..L(L+1)/2, W as in ``_weighted_occupation_table``."""
+    """exp(i phase) at every W = 0..L(L+1)/2, W as in ``_bit_sums``."""
     weighted = np.arange(num_sites * (num_sites + 1) // 2 + 1, dtype=np.int64)
     factors = np.exp(1j * _phase_angles(weighted, num_sites, q, kind))
     factors.setflags(write=False)
@@ -94,7 +93,7 @@ def _twist_from_counts(
     counts: dict[int, int], num_sites: int, q: int, kind: str
 ) -> TwistResult:
     keys, vals = _count_arrays(counts, num_sites)
-    factors = _phase_factors(num_sites, q, kind)[_weighted_occupation_of(keys, num_sites)]
+    factors = _phase_factors(num_sites, q, kind)[_bit_sums(num_sites)[0, keys]]
     return TwistResult(complex(np.sum(vals * factors) / vals.sum()))
 
 
@@ -121,7 +120,7 @@ def exact_twist(
 ) -> TwistResult:
     """Infinite-shot limit of the bitstring estimators on an exact state."""
     n = state.num_qubits
-    factors = _phase_factors(n, q, kind)[_weighted_occupation_table(n)]
+    factors = _phase_factors(n, q, kind)[_bit_sums(n)[0]]
     return TwistResult(complex(np.sum(probabilities(state) * factors)))
 
 
@@ -135,7 +134,7 @@ def postselect_half_filling(counts: dict[int, int], num_sites: int) -> dict[int,
     if num_sites % 2:
         raise ValueError("half filling needs an even chain length")
     keys, _vals = _count_arrays(counts, num_sites)
-    kept = keys[sum(qubit_bits(keys, num_sites)) == num_sites // 2]
+    kept = keys[_bit_sums(num_sites)[1, keys] == num_sites // 2]
     return {k: counts[k] for k in kept.tolist()}
 
 

@@ -143,7 +143,11 @@ Gate = Union[Gate1Q, Gate2Q]
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Normalized amplitude vector over ``num_qubits`` qubits."""
+    """Normalized amplitude vector over ``num_qubits`` qubits.
+
+    Holds a read-only view of a complex ``amplitudes`` array, not a copy, so
+    a caller that keeps writing to that buffer must pass a copy.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -153,18 +157,14 @@ class QuantumState:
             raise CapacityError(
                 f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
             )
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes, dtype=complex).view()
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude vector length must be 2**num_qubits")
         norm = np.vdot(amps, amps).real
         if not abs(norm - 1.0) <= NORM_ATOL:  # also rejects nan and inf
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.2e}")
-        amps.setflags(write=False)
+        amps.setflags(write=False)  # the view only: the caller's array stays writeable
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
 
 
 def bits_to_index(bits: str) -> int:

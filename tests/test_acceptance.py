@@ -29,7 +29,7 @@ from sshquench.observables import (
     principal_angle,
     twist_order_parameter,
     _phase_angles,
-    _weighted_occupation_table,
+    _bit_sums,
 )
 from sshquench.oracle import (
     closed_form_entropy,
@@ -186,7 +186,7 @@ def test_criterion_5_twist_order_parameter_peaks():
     num_sites = 16
     times = np.linspace(0.0, np.pi / 2, 17)  # includes pi/8, pi/4, endpoints
     peak = np.cos(np.pi / num_sites) ** (num_sites // 2)
-    weighted = _weighted_occupation_table(num_sites)
+    weighted = _bit_sums(num_sites)[0]
     phases = _phase_angles(weighted, num_sites, 1, "spin")
     cos_ph, sin_ph = np.cos(phases), np.sin(phases)
 

@@ -11,11 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshquench.noise import flip_outcomes
-from sshquench.observables import (
-    _weighted_occupation_of,
-    _weighted_occupation_table,
-    postselect_half_filling,
-)
+from sshquench.observables import _bit_sums, postselect_half_filling
 from sshquench.randmeas import ShotTable, marginal_counts
 from sshquench.state import index_to_bits, qubit_bits
 
@@ -74,8 +70,9 @@ def test_weighted_occupation_matches_strings(case):
         sum(j * int(ch) for j, ch in enumerate(index_to_bits(int(k), n), start=1))
         for k in keys
     ]
-    assert _weighted_occupation_of(keys, n).tolist() == want
-    assert _weighted_occupation_table(n)[keys].tolist() == want
+    assert _bit_sums(n)[0, keys].tolist() == want
+    weights = [index_to_bits(int(k), n).count("1") for k in keys]
+    assert _bit_sums(n)[1, keys].tolist() == weights
 
 
 @settings(max_examples=80, deadline=None)

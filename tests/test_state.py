@@ -227,9 +227,11 @@ class TestGates:
 
     def test_callers_matrix_stays_writeable(self):
         u, v = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
-        one, two = Gate1Q(u, 0), Gate2Q(v, (0, 1))
-        assert u.flags.writeable and v.flags.writeable
+        a = np.array([1, 0, 0, 0], dtype=complex)
+        one, two, psi = Gate1Q(u, 0), Gate2Q(v, (0, 1)), QuantumState(2, a)
+        assert u.flags.writeable and v.flags.writeable and a.flags.writeable
         assert not one.matrix.flags.writeable and not two.matrix.flags.writeable
+        assert not psi.amplitudes.flags.writeable
         u[0, 0] = v[0, 0] = -1.0  # the gates keep their own copies
         np.testing.assert_array_equal(one.matrix, np.eye(2))
         np.testing.assert_array_equal(two.matrix, np.eye(4))
