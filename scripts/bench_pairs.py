@@ -22,7 +22,14 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
               the first seed, timed in a fresh interpreter at threads 1 and
-              2 in 5 pairs.
+              2 in 5 pairs;
+  memory      per checkout, the peak RSS (``ru_maxrss``, in MB) of a fresh
+              interpreter that runs ``execute`` of an exact-mode L = 18 Neel
+              twist and Berry config, at 2 and at 16 time points, 3 times
+              each. A run that holds one state at a time peaks alike at both.
+              A child's ``ru_maxrss`` starts at the high-water mark of the
+              process that spawned it, so this script must stay smaller than
+              the run it measures (about 60 MB), as it does.
 """
 import argparse
 import json
@@ -59,6 +66,21 @@ with tempfile.TemporaryDirectory() as out:
     execute(config, out, quiet=True)
     print(time.perf_counter() - start)
 """
+
+
+# peak RSS in MB of an exact-mode L = 18 twist ``execute``; argv: t_points
+MEMORY_CHILD = r"""
+import resource, sys, tempfile
+from sshquench.config import parse_config_text
+from sshquench.experiment import execute
+text = "L = 18\ninitial = neel\nquantities = twist,berry\nexact_probabilities = true\n"
+config = parse_config_text(f"{text}t_points = {sys.argv[1]}\n")
+with tempfile.TemporaryDirectory() as out:
+    execute(config, out, quiet=True)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+MEMORY_POINTS = ("2", "16")
+MEMORY_REPEATS = 3
 
 
 def _ordered(pair: int) -> tuple[str, str]:
@@ -164,6 +186,20 @@ def threads(dirs, seed: int) -> dict:
     return out
 
 
+def memory(dirs) -> dict:
+    out = {}
+    for side in SIDES:
+        peaks = {n: [] for n in MEMORY_POINTS}
+        for _ in range(MEMORY_REPEATS):
+            for n in MEMORY_POINTS:
+                argv = [sys.executable, "-c", MEMORY_CHILD, n]
+                peaks[n].append(float(_last_line(argv, dirs[side], _with_src(dirs[side]))))
+        medians = {n: statistics.median(v) for n, v in peaks.items()}
+        out[side] = {"peak_rss_mb": peaks, "median_mb": medians}
+        print(f"memory {side}: {medians}", flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=Path)
@@ -195,6 +231,7 @@ def main(argv=None) -> int:
             for w in workloads
         },
         "threads": threads(dirs, SEEDS[0]),
+        "memory": memory(dirs),
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -1,10 +1,12 @@
 """Experiment runner: prepare, evolve, measure, estimate, mitigate, compare.
 
 Executes a parsed configuration over its time grid and writes plot-ready CSV
-files next to a re-runnable manifest. The (time point x unitary round) work
-grid is scheduled on a bounded thread pool; every work item derives its own
-generator from the master seed and the reduction runs in index order, so
-outputs are byte-identical for any worker count.
+files next to a re-runnable manifest. A run is one pass over the time points
+on one bounded thread pool: each point's state is built just before its work
+items (its own rows, then its randomized-measurement rounds) and dropped after
+them. Every work item derives its own generator from the master seed and the
+reduction runs in index order, so outputs are byte-identical for any worker
+count.
 
 The randomized-measurement round (a Haar unitary per qubit, then the
 measurement chain) lives here, and the library's
@@ -18,14 +20,16 @@ Output files (per enabled quantity):
                   written last
   shots/          optional persisted shot tables, one file per time point
 
-Each file is written under a temporary name and moved into place. Numbers
-are written with 12 significant digits; missing values are explicit ``nan``
-sentinels accompanied by a flag token where a flags column exists.
+Each file is written under a temporary name and moved into place; a rerun
+removes the earlier outputs that it does not write again. Numbers are written
+with 12 significant digits; missing values are explicit ``nan`` sentinels
+accompanied by a flag token where a flags column exists.
 """
 from __future__ import annotations
 
 import csv
 import io
+import re
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -113,11 +117,20 @@ def _oracle_entropy(config, subset, state, t: float) -> float:
 
 
 def _parallel_map(fn, items, threads: int):
-    """Bounded parallel map with results gathered in submission order."""
-    if threads <= 1 or len(items) <= 1:
+    """``fn(*item)`` for each item, in submission order, on one pool.
+
+    ``items`` may be lazy: it is drawn only while fewer than ``2 * threads``
+    calls are in flight.
+    """
+    if threads <= 1:
         return [fn(*item) for item in items]
+    results, window = [], []
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*items)))
+        for item in items:
+            if len(window) == 2 * threads:
+                results.append(window.pop(0).result())
+            window.append(pool.submit(fn, *item))
+        return results + [future.result() for future in window]
 
 
 def run_experiment(
@@ -154,26 +167,56 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     prepare = prepare_neel if config.initial == "neel" else prepare_singlet_product
     prep = prepare(config.num_sites)
     initial_state = prep.run()
-    states = [
-        evolution_circuit(t, config.num_sites, config.boundary, fused=True).run(initial_state)
-        for t in config.times
-    ]
     layers_total = layer_count(
         prep.then(evolution_circuit(config.times[0], config.num_sites, config.boundary))
     )
     p_tot_true = effective_p_tot(config.p_layer, layers_total)
+    entropy_on = "entropy" in config.quantities
+    twist_on = "twist" in config.quantities or "berry" in config.quantities
+    reference = gauge_reference(initial_state) if twist_on else 0.0
+    rounds = config.num_unitaries if entropy_on and not config.exact_probabilities else 0
+
+    def time_points():
+        # each state is built when the pool asks for its first item; item
+        # u = 0 makes the time point's own rows, u >= 1 its rounds
+        for t_idx, t in enumerate(config.times):
+            fused = evolution_circuit(t, config.num_sites, config.boundary, fused=True)
+            state = fused.run(initial_state)
+            for u in range(rounds + 1):
+                yield state, t_idx, u
+
+    def measure(state, t_idx: int, u: int):
+        if u == 0:
+            return (
+                _entropy_point(config, state, t_idx, subset) if entropy_on else None,
+                _twist_point(config, state, t_idx, reference, p_tot_true) if twist_on else None,
+            )
+        rng = child_generator(config.seed, ENTROPY_STREAM, t_idx, u)
+        table = _random_round(state, u, config.num_shots, rng, p_tot_true, config.readout_flip)
+        sub_vec = marginal_counts(table, subset)
+        x_unbiased = purity_statistic(sub_vec, config.num_shots, "unbiased")
+        x_plugin = purity_statistic(sub_vec, config.num_shots, "plugin")
+        x_full = float("nan")
+        if config.mitigation_enabled():
+            full = marginal_counts(table, tuple(range(config.num_sites)))
+            x_full = purity_statistic(full, config.num_shots, config.estimator)
+        shots = _nonzero(table.counts) if config.save_shots else None
+        return x_unbiased, x_plugin, x_full, shots
+
+    results = _parallel_map(measure, time_points(), config.threads)
+    points = [results[i : i + rounds + 1] for i in range(0, len(results), rounds + 1)]
 
     tables: dict[str, list[tuple]] = {}
     shot_files: dict[str, str] = {}
-    if "entropy" in config.quantities:
-        tables["entropy"] = _entropy_series(
-            config, states, subset, p_tot_true, shot_files, quiet
-        )
-    if "twist" in config.quantities or "berry" in config.quantities:
-        tables["twist"], tables["berry"] = _twist_series(
-            config, states, initial_state, p_tot_true, shot_files
-        )
+    if entropy_on:
+        tables["entropy"] = _entropy_series(config, points, subset, shot_files, quiet)
+    if twist_on:
+        tables["twist"], tables["berry"], shots = zip(*(p[0][1] for p in points))
+        shot_files.update((f"twist_t{i:04d}.txt", text) for i, text in enumerate(shots) if text)
 
+    # earlier outputs that this run does not rewrite go; it replaces the rest one by one
+    written = {f"{n}.csv" for n in config.quantities} | {f"shots/{n}" for n in shot_files}
+    _remove_outputs(out_dir, written)
     for name, header in TABLE_HEADERS.items():
         if name in config.quantities:
             _write_table(out_dir / f"{name}.csv", header, tables[name])
@@ -243,47 +286,26 @@ def run_randomized_measurements(
     ]
 
 
-def _entropy_series(config, states, subset, p_tot_true, shot_files, quiet) -> list[tuple]:
-    """Rows of ``entropy.csv``; fills ``shot_files`` when shots are saved."""
+def _entropy_point(config, state, t_idx: int, subset) -> tuple[float, float]:
+    """The exact entropy (nan unless in exact mode) and the oracle entropy."""
+    exact = renyi2(purity(state, subset)) if config.exact_probabilities else float("nan")
+    return exact, _oracle_entropy(config, subset, state, config.times[t_idx])
+
+
+def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
+    """Rows of ``entropy.csv``; fills ``shot_files`` when shots are saved.
+
+    Each of ``points`` is a time point's own result, then its rounds' results.
+    """
     if config.exact_probabilities:
         return [
-            (
-                t,
-                renyi2(purity(state, subset)),
-                float("nan"),
-                _oracle_entropy(config, subset, state, t),
-                0.0,
-                ("exact_mode", "no_mitigation"),
-            )
-            for t, state in zip(config.times, states)
+            (t, exact, float("nan"), oracle, 0.0, ("exact_mode", "no_mitigation"))
+            for t, [((exact, oracle), _twist)] in zip(config.times, points)
         ]
 
     mitigate_on = config.mitigation_enabled()
-    full = tuple(range(config.num_sites))
-    rounds = config.num_unitaries
-    tasks = [(t_idx, u) for t_idx in range(len(states)) for u in range(1, rounds + 1)]
-
-    def one_round(t_idx: int, u: int):
-        rng = child_generator(config.seed, ENTROPY_STREAM, t_idx, u)
-        table = _random_round(
-            states[t_idx], u, config.num_shots, rng, p_tot_true, config.readout_flip
-        )
-        sub_vec = marginal_counts(table, subset)
-        x_unbiased = purity_statistic(sub_vec, config.num_shots, "unbiased")
-        x_plugin = purity_statistic(sub_vec, config.num_shots, "plugin")
-        x_full = float("nan")
-        if mitigate_on:
-            x_full = purity_statistic(
-                marginal_counts(table, full), config.num_shots, config.estimator
-            )
-        shots = _nonzero(table.counts) if config.save_shots else None
-        return x_unbiased, x_plugin, x_full, shots
-
-    results = _parallel_map(one_round, tasks, config.threads)
-
     rows: list[tuple] = []
-    for t_idx, t in enumerate(config.times):
-        chunk = results[t_idx * rounds : (t_idx + 1) * rounds]
+    for t_idx, (t, [((_exact, oracle), _twist), *chunk]) in enumerate(zip(config.times, points)):
         unbiased = round_average([r[0] for r in chunk])
         plugin = round_average([r[1] for r in chunk])
         est = unbiased if config.estimator == "unbiased" else plugin
@@ -308,11 +330,10 @@ def _entropy_series(config, states, subset, p_tot_true, shot_files, quiet) -> li
         else:
             flags.append("no_mitigation")
 
-        oracle = _oracle_entropy(config, subset, states[t_idx], t)
         rows.append((t, raw, mitigated, oracle, float(sigma), tuple(flags)))
         if config.save_shots:
             shot_files[f"entropy_t{t_idx:04d}.txt"] = _shot_file(
-                config, rounds, enumerate((r[3] for r in chunk), start=1)
+                config, len(chunk), enumerate((r[3] for r in chunk), start=1)
             )
         if not quiet:
             print(
@@ -332,54 +353,45 @@ def _entropy_series(config, states, subset, p_tot_true, shot_files, quiet) -> li
     return rows
 
 
-def _twist_series(config, states, initial_state, p_tot_true, shot_files):
-    """Rows of ``twist.csv`` and ``berry.csv``; fills ``shot_files`` when saved.
+def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
+    """One time point's ``twist.csv`` and ``berry.csv`` rows and its shot text.
 
     With exact probabilities the raw and postselected columns repeat the
-    exact ones.
+    exact ones and the shot text is None.
     """
-    reference = gauge_reference(initial_state)
-    twist_rows: list[tuple] = []
-    berry_rows: list[tuple] = []
+    z_exact = exact_twist(state, q=1, kind="spin").z
+    exact_point = berry_phase(exact_twist(state, q=2, kind="particle"), reference)
+    gamma_exact = exact_point.gamma
+    flags = [] if exact_point.reliable else ["exact_unreliable"]
 
-    for t_idx, (t, state) in enumerate(zip(config.times, states)):
-        z_exact = exact_twist(state, q=1, kind="spin").z
-        exact_point = berry_phase(exact_twist(state, q=2, kind="particle"), reference)
-        gamma_exact = exact_point.gamma
-        flags = [] if exact_point.reliable else ["exact_unreliable"]
-
-        if config.exact_probabilities:
-            z_raw = z_post = z_exact
-            gamma_raw = gamma_post = gamma_exact
-        else:
-            rng = child_generator(config.seed, TWIST_STREAM, t_idx)
-            keys, vals = _nonzero(
-                _measure(state, config.num_shots, p_tot_true, config.readout_flip, rng)
-            )
-            counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
-            kept = postselect_half_filling(counts, config.num_sites)
-            z_raw, gamma_raw = _twist_point(counts, config.num_sites, reference, "raw", flags)
-            if kept:
-                z_post, gamma_post = _twist_point(
-                    kept, config.num_sites, reference, "post", flags
-                )
-            else:
-                z_post = complex(float("nan"), float("nan"))
-                gamma_post = float("nan")
-                flags.append("post_empty")
-            if config.save_shots:
-                shot_files[f"twist_t{t_idx:04d}.txt"] = _shot_file(
-                    config, 1, [(0, (keys, vals))]
-                )
-
-        twist_rows.append(
-            (t, z_raw.real, z_raw.imag, z_post.real, z_post.imag, z_exact.real, z_exact.imag)
+    if config.exact_probabilities:
+        z_raw = z_post = z_exact
+        gamma_raw = gamma_post = gamma_exact
+        shots = None
+    else:
+        rng = child_generator(config.seed, TWIST_STREAM, t_idx)
+        keys, vals = _nonzero(
+            _measure(state, config.num_shots, p_tot_true, config.readout_flip, rng)
         )
-        berry_rows.append((t, gamma_raw, gamma_post, gamma_exact, tuple(flags)))
-    return twist_rows, berry_rows
+        counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
+        kept = postselect_half_filling(counts, config.num_sites)
+        z_raw, gamma_raw = _twist_estimate(counts, config.num_sites, reference, "raw", flags)
+        if kept:
+            z_post, gamma_post = _twist_estimate(
+                kept, config.num_sites, reference, "post", flags
+            )
+        else:
+            z_post = complex(float("nan"), float("nan"))
+            gamma_post = float("nan")
+            flags.append("post_empty")
+        shots = _shot_file(config, 1, [(0, (keys, vals))]) if config.save_shots else None
+
+    t = config.times[t_idx]
+    twist_row = (t, z_raw.real, z_raw.imag, z_post.real, z_post.imag, z_exact.real, z_exact.imag)
+    return twist_row, (t, gamma_raw, gamma_post, gamma_exact, tuple(flags)), shots
 
 
-def _twist_point(counts, num_sites: int, reference: float, column: str, flags: list):
+def _twist_estimate(counts, num_sites: int, reference: float, column: str, flags: list):
     """Spin twist z at q = 1 and Berry angle of the particle twist at q = 2.
 
     Appends ``<column>_unreliable`` to ``flags`` when the angle is.
@@ -409,6 +421,18 @@ def _shot_file(config, num_unitaries: int, rounds) -> str:
             for key, count in zip(keys.tolist(), vals.tolist())
         ]
     return "".join(lines)
+
+
+def _remove_outputs(out_dir: Path, keep: set[str]) -> None:
+    """Unlink the run's and the report's own files in ``out_dir`` not named in ``keep``."""
+    owned = {"summary.txt", *(f"{name}.csv" for name in TABLE_HEADERS)}
+    owned |= {
+        f"shots/{path.name}"
+        for path in (out_dir / "shots").glob("*_t*.txt")
+        if re.fullmatch(r"(entropy|twist)_t\d{4,}\.txt", path.name)
+    }
+    for name in owned - keep:
+        (out_dir / name).unlink(missing_ok=True)
 
 
 def _replace_file(path: Path, text: str) -> None:

@@ -120,7 +120,7 @@ def exact_twist(
 ) -> TwistResult:
     """Infinite-shot limit of the bitstring estimators on an exact state."""
     n = state.num_qubits
-    factors = _phase_factors(n, q, kind)[_bit_sums(n)[0]]
+    factors = _phase_factors(n, q, kind).take(_bit_sums(n)[0])
     return TwistResult(complex(np.sum(probabilities(state) * factors)))
 
 

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,8 @@ from sshquench.circuits import (
 )
 from sshquench import experiment
 from sshquench.cli import main
-from sshquench.config import parse_config
-from sshquench.experiment import compare_report, read_shot_tables
+from sshquench.config import parse_config, parse_config_text
+from sshquench.experiment import compare_report, execute, read_shot_tables
 from sshquench.noise import effective_p_tot
 from sshquench.randmeas import estimate_purity
 from sshquench.state import CapacityError
@@ -382,6 +383,26 @@ class TestReport:
         assert main(["report", str(out)]) == 2
         assert "manifest.txt" in capsys.readouterr().err
 
+    def test_rerun_removes_the_outputs_it_does_not_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        entropy = SMALL.replace("entropy,twist,berry", "entropy") + "save_shots = true\n"
+        assert main(["run", str(_write_config(tmp_path, entropy)), "--out", str(out), "--quiet"]) == 0
+        assert main(["report", str(out)]) == 0
+        (out / "notes.txt").write_text("mine")
+        (out / "shots" / "entropy_t0000.txt.bak").write_text("mine")
+        twist = "L = 4\ninitial = neel\nt_points = 2\nquantities = twist\nsave_shots = true\n"
+        conf = _write_config(tmp_path, twist, "twist.conf")
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.txt", "notes.txt", "shots", "twist.csv"
+        ]
+        assert sorted(path.name for path in (out / "shots").iterdir()) == [
+            "entropy_t0000.txt.bak", "twist_t0000.txt", "twist_t0001.txt"
+        ]
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "entropy" not in capsys.readouterr().out
+
     def test_exact_mode_report_rms(self, tmp_path):
         conf = _write_config(tmp_path, SMALL)
         out = tmp_path / "out"
@@ -390,6 +411,42 @@ class TestReport:
         line = next(l for l in text.splitlines() if l.startswith("entropy raw"))
         rms = float(line.split("rms=")[1].split()[0])
         assert rms < 1e-9
+
+
+class TestOnePass:
+    def test_parallel_map_draws_items_only_a_window_ahead(self):
+        threads, done = 2, set()
+
+        def items():
+            for k in range(40):
+                # item k is drawn once every item 2 * threads before it has run
+                assert set(range(k - 2 * threads)) <= done
+                yield (k,)
+
+        def square(k):
+            done.add(k)
+            return k * k
+
+        assert experiment._parallel_map(square, items(), threads) == [k * k for k in range(40)]
+
+    @pytest.mark.parametrize("num_sites, quantities", [(14, "twist,berry"), (12, "entropy")])
+    def test_peak_memory_does_not_grow_with_the_time_points(
+        self, tmp_path, num_sites, quantities
+    ):
+        peaks = []
+        for t_points in (2, 16):
+            config = parse_config_text(
+                f"L = {num_sites}\ninitial = neel\nquantities = {quantities}\n"
+                f"t_points = {t_points}\nexact_probabilities = true\n"
+            )
+            execute(config, tmp_path / "warm", quiet=True)  # fills the per-length caches
+            tracemalloc.start()
+            try:
+                execute(config, tmp_path / f"t{t_points}", quiet=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 16 << num_sites  # less than one complex128 state
 
 
 class TestCliErrors:
