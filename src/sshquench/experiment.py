@@ -59,7 +59,8 @@ from .noise import (
 )
 from .observables import (
     berry_phase,
-    exact_twist,
+    distribution_twist,
+    exact_twist,  # noqa: F401 (a name that benchmark/bench_trace.py wraps)
     gauge_reference,
     particle_twist_amplitude,
     postselect_half_filling,
@@ -242,20 +243,20 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
     return out_dir
 
 
-def _measure(state, num_shots, p_tot, readout_flip, rng, unitaries=()) -> np.ndarray:
-    """The one measurement chain: rotate, depolarize, sample, flip, count.
+def _measure(dist, num_shots, p_tot, readout_flip, rng) -> np.ndarray:
+    """The one measurement chain on a distribution: depolarize, sample, flip, count.
 
     Without flips the multinomial counts are the result; with them the shots
     are expanded, flipped and counted back. Both draw the same multinomial
     from ``rng`` first.
     """
-    dist = probabilities(rotate_state(state, unitaries) if unitaries else state)
     if p_tot > 0.0:
         dist = apply_depolarizing(dist, p_tot)
     if readout_flip > 0.0:
+        num_qubits = dist.size.bit_length() - 1
         outcomes = sample_outcomes(dist, num_shots, rng)
-        outcomes = flip_outcomes(outcomes, state.num_qubits, readout_flip, rng)
-        return counts_from_outcomes(outcomes, state.num_qubits)
+        outcomes = flip_outcomes(outcomes, num_qubits, readout_flip, rng)
+        return counts_from_outcomes(outcomes, num_qubits)
     return sample_shots(dist, num_shots, rng)
 
 
@@ -264,7 +265,8 @@ def _random_round(
 ) -> ShotTable:
     """One randomized-measurement round: a Haar unitary per qubit, then ``_measure``."""
     unitaries = tuple(sample_haar_unitary(rng) for _ in range(state.num_qubits))
-    counts = _measure(state, num_shots, p_tot, readout_flip, rng, unitaries)
+    dist = probabilities(rotate_state(state, unitaries))
+    counts = _measure(dist, num_shots, p_tot, readout_flip, rng)
     return ShotTable(unitary_index, state.num_qubits, num_shots, counts, unitaries)
 
 
@@ -357,10 +359,12 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
     """One time point's ``twist.csv`` and ``berry.csv`` rows and its shot text.
 
     With exact probabilities the raw and postselected columns repeat the
-    exact ones and the shot text is None.
+    exact ones and the shot text is None. One probability vector serves the
+    exact twists and the shot draw.
     """
-    z_exact = exact_twist(state, q=1, kind="spin").z
-    exact_point = berry_phase(exact_twist(state, q=2, kind="particle"), reference)
+    dist = probabilities(state)
+    z_exact = distribution_twist(dist, q=1, kind="spin").z
+    exact_point = berry_phase(distribution_twist(dist, q=2, kind="particle"), reference)
     gamma_exact = exact_point.gamma
     flags = [] if exact_point.reliable else ["exact_unreliable"]
 
@@ -371,7 +375,7 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
     else:
         rng = child_generator(config.seed, TWIST_STREAM, t_idx)
         keys, vals = _nonzero(
-            _measure(state, config.num_shots, p_tot_true, config.readout_flip, rng)
+            _measure(dist, config.num_shots, p_tot_true, config.readout_flip, rng)
         )
         counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
         kept = postselect_half_filling(counts, config.num_sites)
@@ -600,5 +604,5 @@ def compare_report(out_dir: str | Path) -> str:
             )
 
     text = "\n".join(lines) + "\n"
-    (out_dir / "summary.txt").write_text(text)
+    _replace_file(out_dir / "summary.txt", text)
     return text

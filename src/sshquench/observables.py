@@ -24,18 +24,19 @@ from math import pi
 
 import numpy as np
 
-from .state import QuantumState, probabilities, qubit_bits
+from .state import QuantumState, probabilities
 
 BERRY_RELIABLE_MAGNITUDE = 1e-3  # below this the argument is noise-dominated
 
 
 @lru_cache(maxsize=8)
 def _bit_sums(num_sites: int) -> np.ndarray:
-    """Rows W = sum_j j s_j (sites j = 1..L) and H = sum_j s_j at every basis index."""
-    sums = np.zeros((2, 1 << num_sites), dtype=np.int16)  # W <= 300 at the 24-qubit cap
-    for j, s in enumerate(qubit_bits(np.arange(1 << num_sites), num_sites), start=1):
-        sums[0] += j * s
-        sums[1] += s
+    """Rows W = sum_j j s_j (sites j = 1..L) and H = sum_j s_j at every basis index,
+    by doubling: sites L, ..., 1 are prepended in turn as the most significant
+    bit, whose upper half of the indices adds j to W and 1 to H."""
+    sums = np.zeros((2, 1), dtype=np.int16)  # W <= 300 at the 24-qubit cap
+    for j in range(num_sites, 0, -1):
+        sums = np.concatenate([sums, sums + np.array([[j], [1]], dtype=np.int16)], axis=1)
     sums.setflags(write=False)
     return sums
 
@@ -115,13 +116,18 @@ def particle_twist_amplitude(
     return _twist_from_counts(counts, num_sites, q, "particle")
 
 
+def distribution_twist(distribution: np.ndarray, q: int = 1, kind: str = "spin") -> TwistResult:
+    """Infinite-shot limit of the bitstring estimators on a measurement distribution."""
+    n = distribution.size.bit_length() - 1
+    factors = _phase_factors(n, q, kind).take(_bit_sums(n)[0])
+    return TwistResult(complex(np.sum(distribution * factors)))
+
+
 def exact_twist(
     state: QuantumState, q: int = 1, kind: str = "spin"
 ) -> TwistResult:
     """Infinite-shot limit of the bitstring estimators on an exact state."""
-    n = state.num_qubits
-    factors = _phase_factors(n, q, kind).take(_bit_sums(n)[0])
-    return TwistResult(complex(np.sum(probabilities(state) * factors)))
+    return distribution_twist(probabilities(state), q, kind)
 
 
 def postselect_half_filling(counts: dict[int, int], num_sites: int) -> dict[int, int]:

@@ -28,6 +28,14 @@ not. Any other pair, the wrap link (L-1, 0) and reversed pairs included,
 moves its two axes to the front and multiplies the (4, 2^(L-2)) view by
 its 4x4 matrix.
 
+A layer of gates on disjoint ring pairs (a, (a+1) mod L), such as the fused
+evolution circuit, runs in cycled stages (``apply_link_layer``): with the axes
+read as the ring from a lead qubit, one transpose moves the axes ahead of a
+pair to the back, and the pair's (4, rest) view, transposed, times the
+transposed matrix writes the pair out as the trailing axes. Each amplitude
+keeps the bits of ``apply_gate`` (checked at L = 2..16), and two 2^L arrays
+are alive at a time, where the wrap link's moveaxis form held four.
+
 Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs
 less than a numpy product; Gate2Q keeps the numpy check.
 
@@ -234,6 +242,23 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     out = gate.matrix @ psi
     out = np.moveaxis(out.reshape([2, 2] + [2] * (n - 2)), (0, 1), (a, b))
     return QuantumState(n, np.ascontiguousarray(out).reshape(-1))
+
+
+def _cycle(psi: np.ndarray, k: int) -> np.ndarray:
+    """The leading ``k`` qubit axes of ``psi`` moved behind the others: one transpose."""
+    return psi.reshape(1 << k, -1).T.reshape(-1) if k else psi
+
+
+def apply_link_layer(state: QuantumState, gates: Iterable[Gate2Q]) -> QuantumState:
+    """Two-qubit gates on disjoint ring pairs (a, (a+1) mod L), in the order given,
+    as cycled stages on the raw amplitudes; the same bits as ``apply_gate`` on each."""
+    n, psi, lead = state.num_qubits, state.amplitudes, 0  # axes: the ring from ``lead``
+    for gate in gates:
+        a = gate.qubits[0]
+        psi = _cycle(psi, (a - lead) % n)
+        psi = (psi.reshape(4, -1).T @ gate.matrix.T).reshape(-1)
+        lead = (a + 2) % n
+    return QuantumState(n, _cycle(psi, (n - lead) % n))
 
 
 def probabilities(state: QuantumState) -> np.ndarray:

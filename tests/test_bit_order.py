@@ -7,6 +7,7 @@ so a reader that shifts by q instead of L - 1 - q fails here.
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,17 @@ def test_weighted_occupation_matches_strings(case):
     weights = [index_to_bits(int(k), n).count("1") for k in keys]
     assert _bit_sums(n)[1, keys].tolist() == weights
 
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 20])
+def test_bit_sums_by_doubling_match_the_bit_construction(n):
+    want = np.zeros((2, 1 << n), dtype=np.int16)
+    for j, s in enumerate(qubit_bits(np.arange(1 << n), n), start=1):
+        want[0] += j * s
+        want[1] += s
+    got = _bit_sums(n)
+    assert got.dtype == np.int16 and not got.flags.writeable
+    np.testing.assert_array_equal(got, want)
 
 @settings(max_examples=80, deadline=None)
 @given(measured_counts())

@@ -1,14 +1,18 @@
 """Preparation and evolution circuits against kron/expm references."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import ref_evolved_vector, ref_singlet_vector
+from conftest import random_state_vector, ref_evolved_vector, ref_singlet_vector
+from sshquench import circuits
 from sshquench.circuits import (
     Circuit,
     circuit_to_text,
+    coupling_block_gate,
     coupling_block_matrix,
     evolution_circuit,
     evolution_links,
@@ -20,6 +24,7 @@ from sshquench.circuits import (
     rz_gate,
 )
 from sshquench.state import (
+    QuantumState,
     apply_gate,
     new_basis_state,
     overlap,
@@ -167,6 +172,64 @@ class TestEvolution:
         state = quench_circuit(np.pi / 8, 4, "neel", "pbc").run()
         entropy = -np.log2(purity(state, (0, 1)))
         assert entropy == pytest.approx(2.0, abs=1e-9)
+
+
+def _gate_by_gate(circuit, state):
+    for g in circuit.gates:
+        state = apply_gate(state, g)
+    return state
+
+
+def _refuse(*args):
+    raise AssertionError("unexpected path")
+
+
+class TestLinkLayer:
+    """A layer on disjoint ring pairs (a, (a+1) mod L) runs in cycled stages."""
+
+    @pytest.mark.parametrize("num_sites", range(2, 17, 2))
+    @pytest.mark.parametrize("initial", ["neel", "singlet"])
+    @pytest.mark.parametrize("boundary", ["pbc", "obc"])
+    def test_same_bits_as_gate_by_gate(self, num_sites, initial, boundary, monkeypatch):
+        start = (prepare_neel if initial == "neel" else prepare_singlet_product)(num_sites).run()
+        for t in (0.0, 0.31, 0.77, 1.2, 2.9):
+            evolution = evolution_circuit(t, num_sites, boundary, fused=True)
+            want = _gate_by_gate(evolution, start).amplitudes
+            with monkeypatch.context() as m:
+                m.setattr(circuits, "apply_gate", _refuse)  # the layer path only
+                got = evolution.apply(start).amplitudes
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            [coupling_block_gate(2, 1, 0.4)],  # a reversed pair
+            [coupling_block_gate(1, 3, 0.4)],  # a pair that is not adjacent
+            [coupling_block_gate(1, 2, 0.4), coupling_block_gate(2, 3, 0.9)],  # overlapping
+            [coupling_block_gate(5, 0, 0.4), rz_gate(2, 0.7), coupling_block_gate(3, 4, 0.9)],
+        ],
+        ids=["reversed", "not_adjacent", "overlapping", "mixed"],
+    )
+    def test_other_circuits_go_gate_by_gate(self, gates, monkeypatch):
+        start = QuantumState(6, random_state_vector(6, np.random.default_rng(4)))
+        circuit = Circuit(6, tuple(gates))
+        monkeypatch.setattr(circuits, "apply_link_layer", _refuse)
+        got = circuit.apply(start).amplitudes
+        assert got.tobytes() == _gate_by_gate(circuit, start).amplitudes.tobytes()
+
+    def test_ring_build_holds_two_states_above_its_input(self):
+        # the wrap link by moveaxis held four states of 16 * 2^L bytes at once
+        num_sites = 14
+        start = prepare_singlet_product(num_sites).run()
+        evolution = evolution_circuit(0.3, num_sites, "pbc", fused=True)
+        evolution.apply(start)  # warm every cache outside the traced build
+        tracemalloc.start()
+        try:
+            evolution.apply(start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (16 << num_sites)
 
 
 class TestLayering:

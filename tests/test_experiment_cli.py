@@ -1,4 +1,5 @@
 """End-to-end runs through the experiment pipeline and the CLI."""
+import errno
 import itertools
 import os
 import signal
@@ -339,6 +340,23 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(out)]) == 2
         assert "manifest.txt" in capsys.readouterr().err
+
+    def test_summary_that_fails_mid_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        conf = _write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        old = compare_report(out)
+        write_text = Path.write_text
+
+        def write_half_then_fail(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            compare_report(out)
+        monkeypatch.undo()
+        assert (out / "summary.txt").read_text() == old
 
     def test_killed_rerun_leaves_each_file_old_or_new(self, tmp_path, capsys):
         # the child kills itself in the second file replacement, after the
