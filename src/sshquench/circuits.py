@@ -6,7 +6,7 @@ blocks exp(-i t (XX + YY)) on the intercell links, so evolution circuits for
 arbitrary t carry no Trotter error. Gate-level circuits build each block from
 the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
 fused circuits apply it as one dense 4x4 gate, and ``Circuit.apply`` runs that
-layer of disjoint ring pairs in cycled stages (``state.apply_link_layer``).
+layer of disjoint ring pairs in cycled stages (``state._apply_link_layer``).
 
 Layer counting models nearest-neighbor hardware congestion: a two-qubit gate
 occupies every site in the closed interval between its endpoints, so the
@@ -22,7 +22,7 @@ from math import cos, sin
 import numpy as np
 
 from .state import (
-    Gate, Gate1Q, Gate2Q, QuantumState, apply_gate, apply_link_layer, new_basis_state,
+    Gate, Gate1Q, Gate2Q, QuantumState, _apply_link_layer, apply_gate, new_basis_state,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -101,7 +101,7 @@ class Circuit:
         if self.gates and state.num_qubits == n and len(set(qubits)) == len(qubits) and all(
             isinstance(g, Gate2Q) and g.qubits[1] == (g.qubits[0] + 1) % n for g in self.gates
         ):
-            return apply_link_layer(state, self.gates)
+            return _apply_link_layer(state, self.gates)
         for g in self.gates:
             state = apply_gate(state, g)
         return state

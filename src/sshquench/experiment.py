@@ -359,8 +359,7 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
     """One time point's ``twist.csv`` and ``berry.csv`` rows and its shot text.
 
     With exact probabilities the raw and postselected columns repeat the
-    exact ones and the shot text is None. One probability vector serves the
-    exact twists and the shot draw.
+    exact ones and the shot text is None.
     """
     dist = probabilities(state)
     z_exact = distribution_twist(dist, q=1, kind="spin").z

@@ -29,7 +29,7 @@ moves its two axes to the front and multiplies the (4, 2^(L-2)) view by
 its 4x4 matrix.
 
 A layer of gates on disjoint ring pairs (a, (a+1) mod L), such as the fused
-evolution circuit, runs in cycled stages (``apply_link_layer``): with the axes
+evolution circuit, runs in cycled stages (``_apply_link_layer``): with the axes
 read as the ring from a lead qubit, one transpose moves the axes ahead of a
 pair to the back, and the pair's (4, rest) view, transposed, times the
 transposed matrix writes the pair out as the trailing axes. Each amplitude
@@ -249,9 +249,9 @@ def _cycle(psi: np.ndarray, k: int) -> np.ndarray:
     return psi.reshape(1 << k, -1).T.reshape(-1) if k else psi
 
 
-def apply_link_layer(state: QuantumState, gates: Iterable[Gate2Q]) -> QuantumState:
-    """Two-qubit gates on disjoint ring pairs (a, (a+1) mod L), in the order given,
-    as cycled stages on the raw amplitudes; the same bits as ``apply_gate`` on each."""
+def _apply_link_layer(state: QuantumState, gates: Iterable[Gate2Q]) -> QuantumState:
+    """Two-qubit gates on disjoint ring pairs (a, (a+1) mod L), which the caller
+    checks, as cycled stages in the order given; the bits of ``apply_gate`` on each."""
     n, psi, lead = state.num_qubits, state.amplitudes, 0  # axes: the ring from ``lead``
     for gate in gates:
         a = gate.qubits[0]

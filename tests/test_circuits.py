@@ -213,7 +213,7 @@ class TestLinkLayer:
     def test_other_circuits_go_gate_by_gate(self, gates, monkeypatch):
         start = QuantumState(6, random_state_vector(6, np.random.default_rng(4)))
         circuit = Circuit(6, tuple(gates))
-        monkeypatch.setattr(circuits, "apply_link_layer", _refuse)
+        monkeypatch.setattr(circuits, "_apply_link_layer", _refuse)
         got = circuit.apply(start).amplitudes
         assert got.tobytes() == _gate_by_gate(circuit, start).amplitudes.tobytes()
 
