@@ -30,11 +30,7 @@ Section ``gate1q`` times the two forms of a one-qubit gate on every qubit
 of a random state at L = 8, 12 and 16: ``matmul`` (``np.matmul`` of the
 gate into the (2^q, 2, R) view) and ``kron`` (the package's kron form, for
 rows R of at most ``KRON_MAX_ROWS``). ``apply_gate`` picks between them by
-``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``. Section ``gate2q``
-times a fused link block on every adjacent pair (a, a+1) of such states in
-three forms: ``moveaxis`` (both axes moved to the front, one (4, 2^(L-2))
-product, moved back), ``matmul`` into the (2^a, 4, R) view and ``kron``
-(for R of at most ``KRON_MAX_ROWS``).
+``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
 blocks of the time per call, in seconds. The JSON goes to stdout. The
@@ -118,42 +114,23 @@ def _stages():
     yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
 
 
-def _moveaxis(m, vec, a, num_sites):
-    """``m`` on qubits (a, a+1) with both axes moved to the front and back."""
-    psi = np.moveaxis(vec.reshape([2] * num_sites), (a, a + 1), (0, 1)).reshape(4, -1)
-    out = (m @ psi).reshape([2] * num_sites)
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (a, a + 1))).reshape(-1)
-
-
 def _gate_forms():
-    """(section, chain length, qubit, form, calls per block, one call).
-
-    ``gate1q`` forms act on the (2^q, 2, R) view, ``gate2q`` forms on qubits
-    (q, q+1); the kron form only for R of at most ``KRON_MAX_ROWS``.
-    """
-    from sshquench.circuits import coupling_block_matrix
+    """(chain length, qubit, form, calls per block, one call) of section ``gate1q``:
+    forms on the (2^q, 2, R) view, the kron form only for R of at most
+    ``KRON_MAX_ROWS``."""
     from sshquench.randmeas import sample_haar_unitary
     from sshquench.state import _kron_form
 
     rng = np.random.default_rng(12)
     u = sample_haar_unitary(rng)
-    block = coupling_block_matrix(0.3)
     for num_sites, calls in GATE_CALLS.items():
         vec = rng.standard_normal(1 << num_sites) + 1j * rng.standard_normal(1 << num_sites)
         vec /= np.linalg.norm(vec)
         for q in range(num_sites):
             psi = vec.reshape(1 << q, 2, -1)
-            yield "gate1q", num_sites, q, "matmul", calls, lambda p=psi: np.matmul(u, p)
+            yield num_sites, q, "matmul", calls, lambda p=psi: np.matmul(u, p)
             if psi.shape[2] <= KRON_MAX_ROWS:  # its (2R, 2R) factor has 4 R^2 entries
-                yield "gate1q", num_sites, q, "kron", calls, lambda p=psi: _kron_form(u, p)
-        for a in range(num_sites - 1):
-            psi = vec.reshape(1 << a, 4, -1)
-            yield ("gate2q", num_sites, a, "moveaxis", calls,
-                   lambda a=a, n=num_sites: _moveaxis(block, vec, a, n))
-            yield "gate2q", num_sites, a, "matmul", calls, lambda p=psi: np.matmul(block, p)
-            if psi.shape[2] <= KRON_MAX_ROWS:
-                yield ("gate2q", num_sites, a, "kron", calls,
-                       lambda p=psi: _kron_form(block, p))
+                yield num_sites, q, "kron", calls, lambda p=psi: _kron_form(u, p)
 
 
 def _rotations():
@@ -195,9 +172,9 @@ def provenance() -> dict:
 
 
 def measure(repeats: int) -> dict:
-    gates = {"gate1q": {}, "gate2q": {}}
-    for section, num_sites, q, form, calls, call in _gate_forms():
-        row = gates[section].setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
+    gate1q = {}
+    for num_sites, q, form, calls, call in _gate_forms():
+        row = gate1q.setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
         row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
     rotate = {}
     for num_sites, form, calls, call in _rotations():
@@ -207,7 +184,7 @@ def measure(repeats: int) -> dict:
         "provenance": provenance(),
         "repeats": repeats,
         "stages": {name: _time(call, calls, repeats) for name, calls, call in _stages()},
-        **gates,
+        "gate1q": gate1q,
         "rotate": rotate,
     }
 

@@ -427,22 +427,32 @@ def _shot_file(config, num_unitaries: int, rounds) -> str:
 
 
 def _remove_outputs(out_dir: Path, keep: set[str]) -> None:
-    """Unlink the run's and the report's own files in ``out_dir`` not named in ``keep``."""
+    """Unlink the run's and the report's own files in ``out_dir`` not named in ``keep``,
+    and the partial copy of every one of them."""
     owned = {"summary.txt", *(f"{name}.csv" for name in TABLE_HEADERS)}
-    owned |= {
-        f"shots/{path.name}"
-        for path in (out_dir / "shots").glob("*_t*.txt")
-        if re.fullmatch(r"(entropy|twist)_t\d{4,}\.txt", path.name)
-    }
-    for name in owned - keep:
-        (out_dir / name).unlink(missing_ok=True)
+    shots = (p.name.removeprefix(".").removesuffix(".partial")  # partials name their file
+             for p in (out_dir / "shots").glob("*_t*.txt*"))
+    owned |= {f"shots/{n}" for n in shots if re.fullmatch(r"(entropy|twist)_t\d{4,}\.txt", n)}
+    for name in owned:
+        _partial(out_dir / name).unlink(missing_ok=True)
+        if name not in keep:
+            (out_dir / name).unlink(missing_ok=True)
+
+
+def _partial(path: Path) -> Path:
+    return path.with_name(f".{path.name}.partial")
 
 
 def _replace_file(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary sibling of ``path``, then move it over ``path``."""
-    partial = path.with_name(f".{path.name}.partial")
-    partial.write_text(text, newline="")
-    partial.replace(path)
+    """Write ``text`` to a temporary sibling of ``path``, then move it over ``path``;
+    a failed write or move leaves ``path`` as it was and no sibling behind."""
+    partial = _partial(path)
+    try:
+        partial.write_text(text, newline="")
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_table(path: Path, header, rows) -> None:

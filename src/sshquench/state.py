@@ -3,37 +3,36 @@
 Bit convention used by every module in this package: chain site 1 is qubit 0
 and occupies the MOST significant bit of an amplitude index. The two-qubit
 bitstring "10" is therefore index 2, and the Neel pattern "1010" on four
-qubits is index 10. ``qubit_bits`` (reading bits out of indices) writes this
-order down for index arrays; a count vector reshaped to (2,)*L has qubit q
-on axis q in the same order.
+qubits is index 10 (``bits_to_index``, ``index_to_bits``); a count vector
+reshaped to (2,)*L has qubit q on axis q in the same order.
 
 Gates act on views of the amplitude vector; no 2^L x 2^L operator matrix
-is ever materialized. A gate on qubit q, or on the adjacent pair (q, q+1),
-views the vector as (2^q, d, R) with d = 2 or 4 and takes one of two forms:
-  - one ``np.matmul`` of the d x d matrix, broadcast over the leading axis,
-    when that axis is short (2^q <= MATMUL_LEADING for one qubit, q = 0 for
-    a pair) or the rows are long (dR >= 2 MATMUL_ROWS);
-  - otherwise the kron form: the (2^q, dR) view times kron(u, I_R).T, one
-    BLAS product whose (dR, dR) factor is at most 32 x 32.
+is ever materialized. A gate on qubit q views the vector as (2^q, 2, R)
+and takes one of two forms:
+  - one ``np.matmul`` of the 2x2 matrix, broadcast over the leading axis,
+    when that axis is short (2^q <= MATMUL_LEADING) or the rows are long
+    (R >= MATMUL_ROWS);
+  - otherwise the kron form: the (2^q, 2R) view times kron(u, I_R).T, one
+    BLAS product whose (2R, 2R) factor is at most 32 x 32.
 Matmul makes one small product per leading index, which costs more than
 one product over all of them once there are many and each is short. The
-rule picks the faster form in timings on every qubit and pair at L = 8, 12
-and 16 (``scripts/bench_stages.py``; ``BENCH_12.json`` and, for pairs with
-R = 16, 0.50 ms by matmul against 0.94 ms by kron, ``BENCH_15.json``). An
-elementwise form, whose 2^L-sized temporaries cost 3-6x the kron product on
-the last qubits of L = 16, is not used. For one qubit the forms differ in
-the last bit of an amplitude at most; for a pair each keeps the bits of the
-moveaxis form (checked at L = 4..18), which matmul on rows R <= 2 would
-not. Any other pair, the wrap link (L-1, 0) and reversed pairs included,
-moves its two axes to the front and multiplies the (4, 2^(L-2)) view by
-its 4x4 matrix.
+rule picks the faster form in timings on every qubit at L = 8, 12 and 16
+(``scripts/bench_stages.py``, ``BENCH_12.json``). An elementwise form, whose
+2^L-sized temporaries cost 3-6x the kron product on the last qubits of
+L = 16, is not used. The forms differ in the last bit of an amplitude at
+most.
 
-A layer of gates on disjoint ring pairs (a, (a+1) mod L), such as the fused
-evolution circuit, runs in cycled stages (``_apply_link_layer``): with the axes
-read as the ring from a lead qubit, one transpose moves the axes ahead of a
-pair to the back, and the pair's (4, rest) view, transposed, times the
-transposed matrix writes the pair out as the trailing axes. Each amplitude
-keeps the bits of ``apply_gate`` (checked at L = 2..16), and two 2^L arrays
+A two-qubit gate on a ring pair (a, (a+1) mod L), the wrap link (L-1, 0)
+included, is a link layer of one gate (below). Any other pair, reversed or
+distant, moves its two axes to the front and multiplies the (4, 2^(L-2))
+view by its 4x4 matrix; on a ring pair that moveaxis form gives the same
+bits as the link stage (checked at even L = 2..16).
+
+A layer of gates on disjoint ring pairs, such as the fused evolution
+circuit, runs in cycled stages (``_apply_link_layer``): with the axes read
+as the ring from a lead qubit, one transpose moves the axes ahead of a pair
+to the back, and the pair's (4, rest) view, transposed, times the
+transposed matrix writes the pair out as the trailing axes. Two 2^L arrays
 are alive at a time, where the wrap link's moveaxis form held four.
 
 Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs
@@ -49,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -184,18 +183,6 @@ def index_to_bits(index: int, num_qubits: int) -> str:
     return format(index, f"0{num_qubits}b")
 
 
-def qubit_bits(keys: np.ndarray, num_qubits: int) -> Iterator[np.ndarray]:
-    """Bit of each qubit, in qubit order, in every index.
-
-    Yields one int64 array per qubit, each of the shape of ``keys``.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    for q in range(num_qubits):
-        bit = keys >> (num_qubits - 1 - q)
-        bit &= 1
-        yield bit
-
-
 def new_basis_state(num_qubits: int, bits: str) -> QuantumState:
     """Computational basis state for the given bitstring."""
     if len(bits) != num_qubits or set(bits) - {"0", "1"}:
@@ -215,9 +202,9 @@ def _eye(size: int) -> np.ndarray:
 
 
 def _kron_form(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """d x d ``u`` on the middle axis of a (2^q, d, R) view: each length-dR row
+    """2x2 ``u`` on the middle axis of a (2^q, 2, R) view: each length-2R row
     times kron(u, I_R).T, one product whose factor one broadcast multiply builds."""
-    size = u.shape[0] * psi.shape[2]
+    size = 2 * psi.shape[2]
     factor = u.T[:, None, :, None] * _eye(psi.shape[2])[None, :, None, :]
     return psi.reshape(psi.shape[0], -1) @ factor.reshape(size, size)
 
@@ -225,18 +212,18 @@ def _kron_form(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a 1- or 2-qubit gate, returning a new state."""
     n = state.num_qubits
-    one_qubit = isinstance(gate, Gate1Q)
-    a, b = (gate.qubit, gate.qubit) if one_qubit else gate.qubits
-    if a >= n or b >= n:
+    if max(gate.qubits) >= n:
         raise ValueError(f"qubits {gate.qubits} out of range for {n} qubits")
-    if one_qubit or b == a + 1:
-        psi = state.amplitudes.reshape(1 << a, 2 if one_qubit else 4, -1)
-        short_lead = MATMUL_LEADING if one_qubit else 1
-        if psi.shape[0] <= short_lead or psi.shape[1] * psi.shape[2] >= 2 * MATMUL_ROWS:
+    if isinstance(gate, Gate1Q):
+        psi = state.amplitudes.reshape(1 << gate.qubit, 2, -1)
+        if psi.shape[0] <= MATMUL_LEADING or psi.shape[2] >= MATMUL_ROWS:
             out = np.matmul(gate.matrix, psi)
         else:
             out = _kron_form(gate.matrix, psi)
         return QuantumState(n, out.reshape(-1))
+    a, b = gate.qubits
+    if b == (a + 1) % n:
+        return _apply_link_layer(state, (gate,))
     psi = state.amplitudes.reshape([2] * n)
     psi = np.moveaxis(psi, (a, b), (0, 1)).reshape(4, -1)
     out = gate.matrix @ psi
@@ -251,7 +238,7 @@ def _cycle(psi: np.ndarray, k: int) -> np.ndarray:
 
 def _apply_link_layer(state: QuantumState, gates: Iterable[Gate2Q]) -> QuantumState:
     """Two-qubit gates on disjoint ring pairs (a, (a+1) mod L), which the caller
-    checks, as cycled stages in the order given; the bits of ``apply_gate`` on each."""
+    checks, as cycled stages in the order given."""
     n, psi, lead = state.num_qubits, state.amplitudes, 0  # axes: the ring from ``lead``
     for gate in gates:
         a = gate.qubits[0]

@@ -1,7 +1,8 @@
 """Shared reference implementations for the test suite.
 
 Everything here is deliberately independent of the package internals:
-operators are built as full kron-product matrices, evolution uses
+operators are built as full kron-product matrices, a two-qubit gate acts
+through ``np.moveaxis``, index bits are read by shifts, evolution uses
 scipy.linalg.expm, and the randomized-measurement pair expectation is
 evaluated by exact Haar integration (two-copy twirl). These serve as the
 oracles that the fast implementations are checked against.
@@ -24,6 +25,24 @@ def kron_chain(ops) -> np.ndarray:
     for op in ops:
         out = np.kron(out, op)
     return out
+
+
+def qubit_bits(keys: np.ndarray, num_qubits: int):
+    """Bit of each qubit, in qubit order, in every index (qubit 0 the MSB).
+
+    Yields one int64 array per qubit, each of the shape of ``keys``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    for q in range(num_qubits):
+        yield (keys >> (num_qubits - 1 - q)) & 1
+
+
+def moveaxis_two_qubit(matrix, vec, pair, num_qubits) -> np.ndarray:
+    """``matrix`` on the ordered ``pair``: its axes moved to the front, the 4x4
+    product, and moved back."""
+    psi = np.moveaxis(vec.reshape([2] * num_qubits), pair, (0, 1)).reshape(4, -1)
+    out = (matrix @ psi).reshape([2, 2] + [2] * (num_qubits - 2))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), pair)).reshape(-1)
 
 
 def embed_two_site(op1, op2, a: int, b: int, num_sites: int) -> np.ndarray:
@@ -133,6 +152,12 @@ def count_dict(counts: np.ndarray) -> dict[int, int]:
 
 def hamming_distance(a: int, b: int) -> int:
     return bin(a ^ b).count("1")
+
+
+def random_unitary_4x4(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 4x4 unitary: QR of a complex Gaussian matrix, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_state_vector(num_qubits: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import qubit_bits
 from sshquench.noise import flip_outcomes
 from sshquench.observables import _bit_sums, postselect_half_filling
 from sshquench.randmeas import ShotTable, marginal_counts
-from sshquench.state import index_to_bits, qubit_bits
+from sshquench.state import index_to_bits
 
 
 @st.composite

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_state_vector, ref_evolved_vector, ref_singlet_vector
+from conftest import (
+    moveaxis_two_qubit,
+    qubit_bits,
+    random_state_vector,
+    random_unitary_4x4,
+    ref_evolved_vector,
+    ref_singlet_vector,
+)
 from sshquench import circuits
 from sshquench.circuits import (
     Circuit,
@@ -24,12 +31,12 @@ from sshquench.circuits import (
     rz_gate,
 )
 from sshquench.state import (
+    Gate2Q,
     QuantumState,
     apply_gate,
     new_basis_state,
     overlap,
     probabilities,
-    qubit_bits,
 )
 
 
@@ -175,8 +182,13 @@ class TestEvolution:
 
 
 def _gate_by_gate(circuit, state):
+    """The gates one by one, each two-qubit gate by the moveaxis reference."""
     for g in circuit.gates:
-        state = apply_gate(state, g)
+        if isinstance(g, Gate2Q):
+            vec = moveaxis_two_qubit(g.matrix, state.amplitudes, g.qubits, state.num_qubits)
+            state = QuantumState(state.num_qubits, vec)
+        else:
+            state = apply_gate(state, g)
     return state
 
 
@@ -199,6 +211,17 @@ class TestLinkLayer:
                 m.setattr(circuits, "apply_gate", _refuse)  # the layer path only
                 got = evolution.apply(start).amplitudes
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_sites", [2, 4, 6, 8, 12, 16])
+    def test_random_unitary_layer_same_bits_as_gate_by_gate(self, num_sites, monkeypatch):
+        rng = np.random.default_rng(num_sites)
+        start = QuantumState(num_sites, random_state_vector(num_sites, rng))
+        links = [(a, (a + 1) % num_sites) for a in range(1, num_sites, 2)]  # the wrap link too
+        order = rng.permutation(len(links))  # the stages in any order
+        layer = Circuit(num_sites, tuple(Gate2Q(random_unitary_4x4(rng), links[i]) for i in order))
+        want = _gate_by_gate(layer, start).amplitudes
+        monkeypatch.setattr(circuits, "apply_gate", _refuse)  # the layer path only
+        assert layer.apply(start).amplitudes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "gates",

@@ -358,6 +358,28 @@ class TestReport:
         monkeypatch.undo()
         assert (out / "summary.txt").read_text() == old
 
+    def test_replace_file_that_cannot_encode_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "summary.txt"
+        path.write_text("old text\n")
+        with pytest.raises(UnicodeEncodeError):
+            experiment._replace_file(path, "x\udc80")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.txt"]
+        assert path.read_text() == "old text\n"
+
+    def test_rerun_removes_partial_copies(self, tmp_path):
+        out = tmp_path / "out"
+        conf = _write_config(tmp_path, SMALL + "save_shots = true\n")
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        kept = {path.name for path in out.iterdir()} | {".notes.txt.partial"}
+        kept_shots = {path.name for path in (out / "shots").iterdir()}
+        left = [".entropy.csv.partial", ".summary.txt.partial", ".notes.txt.partial",
+                "shots/.twist_t0000.txt.partial", "shots/.entropy_t0099.txt.partial"]
+        for name in left:
+            (out / name).write_text("half")
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        assert {path.name for path in out.iterdir()} == kept
+        assert {path.name for path in (out / "shots").iterdir()} == kept_shots
+
     def test_killed_rerun_leaves_each_file_old_or_new(self, tmp_path, capsys):
         # the child kills itself in the second file replacement, after the
         # temporary file is written and before it moves into place

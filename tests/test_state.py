@@ -1,4 +1,5 @@
 """Statevector engine: basis handling, gate kernels, sampling, reductions."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,10 +12,11 @@ from conftest import (
     embed_two_site,
     haar_pair_product,
     hamming_distance,
+    moveaxis_two_qubit,
     random_state_vector,
+    random_unitary_4x4,
     ref_reduced_density,
 )
-from sshquench import state as state_module
 from sshquench.circuits import _CX, coupling_block_matrix, cx_gate, h_gate, quench_circuit
 from sshquench.randmeas import sample_haar_unitary
 from sshquench.state import (
@@ -26,7 +28,6 @@ from sshquench.state import (
     UNITARY_ATOL,
     QuantumState,
     _IDENTITY_4,
-    _kron_form,
     _unitarity_defect_2x2,
     apply_gate,
     bits_to_index,
@@ -57,18 +58,6 @@ def _random_unitary_2x2(theta, phi, lam) -> np.ndarray:
             [-np.exp(-1j * lam) * s, np.exp(-1j * phi) * c],
         ]
     )
-
-
-def _random_unitary_4x4(rng) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _moveaxis_two_qubit(matrix, vec, pair, num_qubits) -> np.ndarray:
-    """The pair's axes moved to the front, the 4x4 product, and moved back."""
-    psi = np.moveaxis(vec.reshape([2] * num_qubits), pair, (0, 1)).reshape(4, -1)
-    out = (matrix @ psi).reshape([2, 2] + [2] * (num_qubits - 2))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), pair)).reshape(-1)
 
 
 def _unitarity_defect_reference(m: np.ndarray) -> float:
@@ -163,39 +152,41 @@ class TestGates:
             np.testing.assert_allclose(got.amplitudes, want.reshape(-1), atol=1e-12)
         assert forms == ({True, False} if num_qubits >= 8 else {True})
 
-    @pytest.mark.parametrize("num_qubits", [4, 6, 8, 12, 16])
-    def test_adjacent_two_qubit_gate_keeps_the_moveaxis_bits(self, num_qubits, monkeypatch):
-        # every pair (a, a+1) gives the bits of the moveaxis form, through
-        # matmul for a = 0 or factor rows 4R of at least 2 * MATMUL_ROWS and
-        # the kron form otherwise; matmul on rows of 1 or 2 would move bits
-        # at L = 4 and 6
-        kron_calls = []
-
-        def counted_kron(u, psi):
-            kron_calls.append(psi.shape)
-            return _kron_form(u, psi)
-
-        monkeypatch.setattr(state_module, "_kron_form", counted_kron)
+    @pytest.mark.parametrize("num_qubits", [2, 4, 6, 8, 12, 16])
+    def test_adjacent_two_qubit_gate_keeps_the_moveaxis_bits(self, num_qubits):
+        # every ring pair (a, (a+1) mod L), the wrap link included, runs as a
+        # one-gate link stage and gives the bits of the moveaxis form
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
-        matrices = (coupling_block_matrix(0.37), _CX, _random_unitary_4x4(rng))
-        for a in range(num_qubits - 1):
+        matrices = (coupling_block_matrix(0.37), _CX, random_unitary_4x4(rng),
+                    random_unitary_4x4(rng))
+        for a in range(num_qubits):
+            pair = (a, (a + 1) % num_qubits)
             for m in matrices:
-                got = apply_gate(state, Gate2Q(m, (a, a + 1)))
-                want = _moveaxis_two_qubit(m, vec, (a, a + 1), num_qubits)
-                assert np.array_equal(got.amplitudes, want)
-        kron_pairs = sum(4 << (num_qubits - a - 2) < 2 * MATMUL_ROWS
-                         for a in range(1, num_qubits - 1))
-        assert 0 < kron_pairs < num_qubits - 1
-        assert len(kron_calls) == len(matrices) * kron_pairs
+                got = apply_gate(state, Gate2Q(m, pair))
+                assert np.array_equal(got.amplitudes, moveaxis_two_qubit(m, vec, pair, num_qubits))
+
+    def test_wrap_link_gate_holds_two_states_above_its_input(self):
+        # the wrap link by moveaxis held three states of 16 * 2^L bytes at once
+        num_qubits = 14
+        state = QuantumState(num_qubits, random_state_vector(num_qubits, np.random.default_rng(3)))
+        gate = Gate2Q(_CX, (num_qubits - 1, 0))
+        apply_gate(state, gate)  # warm every cache outside the traced call
+        tracemalloc.start()
+        try:
+            apply_gate(state, gate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (16 << num_qubits)
 
     @pytest.mark.parametrize("pair", [(1, 0), (3, 2), (5, 4), (5, 0), (0, 5), (4, 1)])
     def test_reversed_wrap_and_distant_pairs_match_kron(self, pair):
         num_qubits = 6
         rng = np.random.default_rng(sum(pair))
         vec = random_state_vector(num_qubits, rng)
-        m = _random_unitary_4x4(rng)
+        m = random_unitary_4x4(rng)
         got = apply_gate(QuantumState(num_qubits, vec), Gate2Q(m, pair))
         # |i j><k l| on (pair[0], pair[1]) with weight m[(i, j), (k, l)]
         unit = np.eye(2)
