@@ -16,8 +16,7 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               AFTER's BENCHMARK.json);
   stages      this directory's ``bench_stages.py`` with each checkout's
               ``src`` on the Python path, in 3 pairs: per run and medians,
-              and the medians of the one-qubit gate forms and of the
-              rotation forms;
+              and the medians of the rotation forms;
   traced      one ``run.py --trace 1`` of every workload per checkout, at
               the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
@@ -147,17 +146,6 @@ def stages(dirs) -> dict:
         }
         for side in SIDES
     }
-    gate1q = {
-        side: {
-            size: {
-                q: {form: statistics.median(r["gate1q"][size][q][form] for r in runs[side])
-                    for form in forms}
-                for q, forms in qubits.items()
-            }
-            for size, qubits in runs[side][0]["gate1q"].items()
-        }
-        for side in SIDES
-    }
     rotate = {
         side: {
             size: {form: statistics.median(r["rotate"][size][form] for r in runs[side])
@@ -166,8 +154,7 @@ def stages(dirs) -> dict:
         }
         for side in SIDES
     }
-    return {"runs": runs, "median_s": medians, "gate1q_median_s": gate1q,
-            "rotate_median_s": rotate}
+    return {"runs": runs, "median_s": medians, "rotate_median_s": rotate}
 
 
 def threads(dirs, seed: int) -> dict:

@@ -13,6 +13,10 @@ Stages:
                         rotation, depolarizing at p_tot = 0.1 and the
                         multinomial, with the shot counts of the
                         ``rm_l8_mitigated`` and ``rm_l16_threads`` workloads;
+  prep_l16_{neel,singlet}
+                        one ``prepare_neel(16).run()`` and one
+                        ``prepare_singlet_product(16).run()``: the
+                        preparation circuits as one run of stages;
   state_build_l16       one time point's state of the ``twist_l16_readout``
                         workload: the fused link blocks at t = 0.3 applied
                         to the prepared Neel ring;
@@ -26,11 +30,6 @@ and 4 qubits, the last block shorter where k does not divide L.
 ``rotate_state``'s block size, and the chain length from which it rotates
 in blocks, come from these.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
-Section ``gate1q`` times the two forms of a one-qubit gate on every qubit
-of a random state at L = 8, 12 and 16: ``matmul`` (``np.matmul`` of the
-gate into the (2^q, 2, R) view) and ``kron`` (the package's kron form, for
-rows R of at most ``KRON_MAX_ROWS``). ``apply_gate`` picks between them by
-``state.MATMUL_LEADING`` and ``state.MATMUL_ROWS``.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
 blocks of the time per call, in seconds. The JSON goes to stdout. The
@@ -57,9 +56,7 @@ import numpy as np  # noqa: E402
 P_TOT = 0.1
 SHOTS = {8: 4096, 16: 16384}  # per round, by chain length
 TWIST_SHOTS, TWIST_FLIP = 65536, 0.02  # per time point of ``twist_l16_readout``
-GATE_CALLS = {8: 500, 12: 100, 16: 10}  # calls per block, by chain length
 ROTATE_CALLS = {8: 100, 10: 50, 12: 20, 14: 10, 16: 5}  # calls per block
-KRON_MAX_ROWS = 64  # the kron form is timed up to this row length R
 
 
 def _git(root: Path, *args: str) -> str | None:
@@ -85,7 +82,7 @@ def checkout_state(root: Path) -> dict:
 def _stages():
     """(name, calls per block, one call) in report order."""
     from sshquench import quench_circuit
-    from sshquench.circuits import evolution_circuit, prepare_neel
+    from sshquench.circuits import evolution_circuit, prepare_neel, prepare_singlet_product
     from sshquench.experiment import _random_round
     from sshquench.noise import flip_outcomes
     from sshquench.observables import exact_twist
@@ -105,32 +102,16 @@ def _stages():
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         yield (f"random_round_l{num_sites}", calls,
                lambda s=state, n=SHOTS[num_sites]: _random_round(s, 1, n, rng, P_TOT))
-    start = prepare_neel(16).run()
+    neel, singlet = prepare_neel(16), prepare_singlet_product(16)
+    yield "prep_l16_neel", 20, neel.run
+    yield "prep_l16_singlet", 20, singlet.run
+    start = neel.run()
     evolution = evolution_circuit(0.3, 16, "pbc", fused=True)
     yield "state_build_l16", 20, lambda: evolution.apply(start)
     state = evolution.apply(start)
     yield "exact_twist_l16", 50, lambda: exact_twist(state, q=1, kind="spin")
     outcomes = sample_outcomes(probabilities(state), TWIST_SHOTS, rng)
     yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
-
-
-def _gate_forms():
-    """(chain length, qubit, form, calls per block, one call) of section ``gate1q``:
-    forms on the (2^q, 2, R) view, the kron form only for R of at most
-    ``KRON_MAX_ROWS``."""
-    from sshquench.randmeas import sample_haar_unitary
-    from sshquench.state import _kron_form
-
-    rng = np.random.default_rng(12)
-    u = sample_haar_unitary(rng)
-    for num_sites, calls in GATE_CALLS.items():
-        vec = rng.standard_normal(1 << num_sites) + 1j * rng.standard_normal(1 << num_sites)
-        vec /= np.linalg.norm(vec)
-        for q in range(num_sites):
-            psi = vec.reshape(1 << q, 2, -1)
-            yield num_sites, q, "matmul", calls, lambda p=psi: np.matmul(u, p)
-            if psi.shape[2] <= KRON_MAX_ROWS:  # its (2R, 2R) factor has 4 R^2 entries
-                yield num_sites, q, "kron", calls, lambda p=psi: _kron_form(u, p)
 
 
 def _rotations():
@@ -172,10 +153,6 @@ def provenance() -> dict:
 
 
 def measure(repeats: int) -> dict:
-    gate1q = {}
-    for num_sites, q, form, calls, call in _gate_forms():
-        row = gate1q.setdefault(f"l{num_sites}", {}).setdefault(f"q{q}", {})
-        row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
     rotate = {}
     for num_sites, form, calls, call in _rotations():
         row = rotate.setdefault(f"l{num_sites}", {})
@@ -184,7 +161,6 @@ def measure(repeats: int) -> dict:
         "provenance": provenance(),
         "repeats": repeats,
         "stages": {name: _time(call, calls, repeats) for name, calls, call in _stages()},
-        "gate1q": gate1q,
         "rotate": rotate,
     }
 

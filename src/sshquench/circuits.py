@@ -5,8 +5,10 @@ Initial-state preparation and the exact flat-band time evolution. At
 blocks exp(-i t (XX + YY)) on the intercell links, so evolution circuits for
 arbitrary t carry no Trotter error. Gate-level circuits build each block from
 the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
-fused circuits apply it as one dense 4x4 gate, and ``Circuit.apply`` runs that
-layer of disjoint ring pairs in cycled stages (``state._apply_link_layer``).
+fused circuits apply it as one dense 4x4 gate. ``Circuit.apply`` runs a
+circuit of ring-local gates (one-qubit gates and pairs (a, (a+1) mod L)),
+such as the preparations and the fused evolution, as one run of cycled
+stages (``state._apply_stages``).
 
 Layer counting models nearest-neighbor hardware congestion: a two-qubit gate
 occupies every site in the closed interval between its endpoints, so the
@@ -22,7 +24,7 @@ from math import cos, sin
 import numpy as np
 
 from .state import (
-    Gate, Gate1Q, Gate2Q, QuantumState, _apply_link_layer, apply_gate, new_basis_state,
+    Gate, Gate1Q, Gate2Q, QuantumState, _apply_stages, apply_gate, new_basis_state,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -96,12 +98,13 @@ class Circuit:
                 )
 
     def apply(self, state: QuantumState) -> QuantumState:
-        """The gates in order; a layer on disjoint ring pairs in cycled stages."""
-        n, qubits = self.num_qubits, [q for g in self.gates for q in g.qubits]
-        if self.gates and state.num_qubits == n and len(set(qubits)) == len(qubits) and all(
-            isinstance(g, Gate2Q) and g.qubits[1] == (g.qubits[0] + 1) % n for g in self.gates
+        """The gates in order: ring-local gates in one run of cycled stages,
+        any other circuit gate by gate."""
+        n = self.num_qubits
+        if state.num_qubits == n and all(
+            isinstance(g, Gate1Q) or g.qubits[1] == (g.qubits[0] + 1) % n for g in self.gates
         ):
-            return _apply_link_layer(state, self.gates)
+            return _apply_stages(state, [(g.qubits[0], g.matrix.T) for g in self.gates])
         for g in self.gates:
             state = apply_gate(state, g)
         return state

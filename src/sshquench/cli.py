@@ -4,8 +4,9 @@
                            [--exact-probabilities] [--quiet]
     sshquench report <run-dir>
 
-Exit codes: 0 success, 2 invalid configuration or missing files, 3 capacity
-violation (chain or subsystem too large for the dense engine).
+Exit codes: 0 success, 2 invalid configuration, missing files or a malformed
+run-directory CSV, 3 capacity violation (chain or subsystem too large for the
+dense engine).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from .config import ConfigError
-from .experiment import compare_report, run_experiment
+from .experiment import RunFileError, compare_report, run_experiment
 from .state import CapacityError
 
 
@@ -66,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, RunFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

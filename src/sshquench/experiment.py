@@ -104,8 +104,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _oracle_entropy(config, subset, state, t: float) -> float:
-    """Closed form where a cell-aligned bipartition applies, exact otherwise."""
+def _closed_form_oracle(config, t: float) -> float | None:
+    """Closed form where a cell-aligned bipartition applies, None otherwise."""
     cells_per_half = config.num_sites // 4
     if config.subsystem == "half":
         return closed_form_entropy(
@@ -114,7 +114,7 @@ def _oracle_entropy(config, subset, state, t: float) -> float:
     if config.subsystem == "bulk":
         # two boundaries regardless of chain ends: the periodic form
         return closed_form_entropy(config.initial, t, "pbc", num_cells=cells_per_half)
-    return renyi2(purity(state, subset))
+    return None
 
 
 def _parallel_map(fn, items, threads: int):
@@ -289,9 +289,11 @@ def run_randomized_measurements(
 
 
 def _entropy_point(config, state, t_idx: int, subset) -> tuple[float, float]:
-    """The exact entropy (nan unless in exact mode) and the oracle entropy."""
-    exact = renyi2(purity(state, subset)) if config.exact_probabilities else float("nan")
-    return exact, _oracle_entropy(config, subset, state, config.times[t_idx])
+    """The exact entropy (nan unless in exact mode) and the oracle entropy: the
+    closed form where one applies, else the exact entropy, computed once."""
+    nan, oracle = float("nan"), _closed_form_oracle(config, config.times[t_idx])
+    exact = renyi2(purity(state, subset)) if oracle is None or config.exact_probabilities else nan
+    return (exact if config.exact_probabilities else nan), (exact if oracle is None else oracle)
 
 
 def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
@@ -531,9 +533,23 @@ def read_shot_tables(path: str | Path) -> list[ShotTable]:
     return tables
 
 
-def _read_csv_columns(path: Path) -> dict[str, list[str]]:
-    with path.open() as fh:
-        header, *rows = csv.reader(fh)
+class RunFileError(ValueError):
+    """A malformed file in a run directory; the message names the file and line."""
+
+
+def _read_csv_columns(path: Path, header: tuple[str, ...]) -> dict[str, list[str]]:
+    """The columns of a table written with ``header``, by name."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise RunFileError(f"{path}:1: expected the header {','.join(header)}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise RunFileError(
+                    f"{path}:{reader.line_num}: {len(row)} fields, expected {len(header)}"
+                )
+            rows.append(row)
     return {h: [row[i] for row in rows] for i, h in enumerate(header)}
 
 
@@ -561,15 +577,17 @@ def compare_report(out_dir: str | Path) -> str:
 
     Returns the summary text and writes it to ``summary.txt`` in the run
     directory. Raises FileNotFoundError when ``manifest.txt``, which a run
-    writes last, or every known CSV is missing.
+    writes last, or every known CSV is missing, and ``RunFileError`` when a
+    CSV's header is not its ``TABLE_HEADERS`` entry or a row has another
+    number of fields.
     """
     out_dir = Path(out_dir)
     manifest = out_dir / "manifest.txt"
     if not manifest.is_file():
         raise FileNotFoundError(f"{manifest} not found: not a complete run directory")
     tables = {
-        name: _read_csv_columns(out_dir / f"{name}.csv")
-        for name in TABLE_HEADERS
+        name: _read_csv_columns(out_dir / f"{name}.csv", header)
+        for name, header in TABLE_HEADERS.items()
         if (out_dir / f"{name}.csv").exists()
     }
     if not tables:

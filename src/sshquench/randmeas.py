@@ -32,14 +32,14 @@ is exact, so either way each output is the one rounding of the exact
 a - b/2, with or without a fused multiply-add. Only subnormal inputs, which
 no count or probability here comes near, could tell the two apart.
 
-Rotation: from 12 qubits, ``rotate_state`` turns the raw amplitudes in
-cycled blocks of k = 4 qubits, as the kernel walks its axes: the leading k
-qubits' (2^k, rest) view, transposed, times the kron of their checked
-unitaries' transposes (broadcast, not ``np.kron``), goes out as the trailing
-axis. After ceil(L/k) stages every axis is back in place; one norm check ends
-the round. k = 4 beat k = 1 and 2 at L = 12-16 (``rotate`` in
-``scripts/bench_stages.py``). Below 12 qubits each qubit takes one
-``apply_gate``, as ``benchmark/test_bench.py`` counts those gates at L = 8.
+Rotation: from 12 qubits, ``rotate_state`` turns the amplitudes in blocks
+of k = 4 qubits: each block's factor is the kron of its checked unitaries'
+transposes (broadcast, not ``np.kron``), and the blocks run in order as the
+cycled stages of ``state._apply_stages``. Consecutive blocks need no
+transpose between them, and one norm check ends the round. k = 4 beat k = 1
+and 2 at L = 12-16 (``rotate`` in ``scripts/bench_stages.py``). Below 12
+qubits each qubit takes one ``apply_gate``, as ``benchmark/test_bench.py``
+counts those gates at L = 8.
 
 Counts: a round keeps the integer vector of length 2^L that the multinomial
 draw returns (``ShotTable.counts``); a subsystem marginal is a reshape, a sum
@@ -59,7 +59,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .state import Gate1Q, QuantumState, _as_unitary, _validated_subset, apply_gate
+from .state import (
+    Gate1Q, QuantumState, _apply_stages, _as_unitary, _validated_subset, apply_gate,
+)
 
 
 def child_generator(master_seed: int, *key: int) -> np.random.Generator:
@@ -139,13 +141,13 @@ def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> Quantu
 def _rotate_in_blocks(state: QuantumState, unitaries, block: int) -> QuantumState:
     """Cycled stages of ``block`` qubits, the last shorter if ``block`` does not divide L."""
     mats = [_as_unitary(u, 2).T for u in unitaries]
-    psi = state.amplitudes
+    stages = []
     for start in range(0, state.num_qubits, block):
         factor = mats[start]
         for m in mats[start + 1:start + block]:  # kron(factor, m), broadcast
             factor = (factor[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(factor), -1)
-        psi = (psi.reshape(len(factor), -1).T @ factor).reshape(-1)
-    return QuantumState(state.num_qubits, psi)
+        stages.append((start, factor))
+    return _apply_stages(state, stages)
 
 
 # one kernel stage: the row [a, b] of an axis' two halves becomes [a - b/2, b - a/2]

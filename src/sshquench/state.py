@@ -7,33 +7,17 @@ qubits is index 10 (``bits_to_index``, ``index_to_bits``); a count vector
 reshaped to (2,)*L has qubit q on axis q in the same order.
 
 Gates act on views of the amplitude vector; no 2^L x 2^L operator matrix
-is ever materialized. A gate on qubit q views the vector as (2^q, 2, R)
-and takes one of two forms:
-  - one ``np.matmul`` of the 2x2 matrix, broadcast over the leading axis,
-    when that axis is short (2^q <= MATMUL_LEADING) or the rows are long
-    (R >= MATMUL_ROWS);
-  - otherwise the kron form: the (2^q, 2R) view times kron(u, I_R).T, one
-    BLAS product whose (2R, 2R) factor is at most 32 x 32.
-Matmul makes one small product per leading index, which costs more than
-one product over all of them once there are many and each is short. The
-rule picks the faster form in timings on every qubit at L = 8, 12 and 16
-(``scripts/bench_stages.py``, ``BENCH_12.json``). An elementwise form, whose
-2^L-sized temporaries cost 3-6x the kron product on the last qubits of
-L = 16, is not used. The forms differ in the last bit of an amplitude at
-most.
-
-A two-qubit gate on a ring pair (a, (a+1) mod L), the wrap link (L-1, 0)
-included, is a link layer of one gate (below). Any other pair, reversed or
-distant, moves its two axes to the front and multiplies the (4, 2^(L-2))
-view by its 4x4 matrix; on a ring pair that moveaxis form gives the same
-bits as the link stage (checked at even L = 2..16).
-
-A layer of gates on disjoint ring pairs, such as the fused evolution
-circuit, runs in cycled stages (``_apply_link_layer``): with the axes read
-as the ring from a lead qubit, one transpose moves the axes ahead of a pair
-to the back, and the pair's (4, rest) view, transposed, times the
-transposed matrix writes the pair out as the trailing axes. Two 2^L arrays
-are alive at a time, where the wrap link's moveaxis form held four.
+is ever materialized. A one-qubit gate, or a two-qubit gate on a ring pair
+(a, (a+1) mod L) with the wrap link (L-1, 0) included, runs as a cycled
+stage (``_apply_stages``). With the axes read as the ring from a lead
+qubit, one transpose moves the axes ahead of the stage's first qubit to the
+back, and the stage's (2^k, rest) view, transposed, times the transposed
+2^k x 2^k matrix writes its k qubits out as the trailing axes. A run of
+stages, such as a ring-local circuit or a block rotation, tracks the lead
+qubit and transposes back once at the end; two 2^L arrays are alive at a
+time. Any other pair, reversed or distant, moves its two axes to the front
+and multiplies the (4, 2^(L-2)) view by its 4x4 matrix; on a ring pair that
+moveaxis form gives the same bits as the stage (checked at even L = 2..16).
 
 Gate1Q checks unitarity in Python scalars, which for a 2x2 matrix costs
 less than a numpy product; Gate2Q keeps the numpy check.
@@ -47,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -57,8 +40,6 @@ MAX_DENSE_SUBSET = 12    # dense reduced-density-matrix bound
 
 NORM_ATOL = 1e-10
 UNITARY_ATOL = 1e-12
-MATMUL_LEADING = 16      # gate forms: see the module docstring
-MATMUL_ROWS = 32
 
 
 class CapacityError(ValueError):
@@ -194,36 +175,14 @@ def new_basis_state(num_qubits: int, bits: str) -> QuantumState:
     return QuantumState(num_qubits, amps)
 
 
-@lru_cache(maxsize=None)  # apply_gate asks only for the sizes R < MATMUL_ROWS
-def _eye(size: int) -> np.ndarray:
-    eye = np.eye(size)
-    eye.setflags(write=False)
-    return eye
-
-
-def _kron_form(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """2x2 ``u`` on the middle axis of a (2^q, 2, R) view: each length-2R row
-    times kron(u, I_R).T, one product whose factor one broadcast multiply builds."""
-    size = 2 * psi.shape[2]
-    factor = u.T[:, None, :, None] * _eye(psi.shape[2])[None, :, None, :]
-    return psi.reshape(psi.shape[0], -1) @ factor.reshape(size, size)
-
-
 def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     """Apply a 1- or 2-qubit gate, returning a new state."""
-    n = state.num_qubits
-    if max(gate.qubits) >= n:
-        raise ValueError(f"qubits {gate.qubits} out of range for {n} qubits")
-    if isinstance(gate, Gate1Q):
-        psi = state.amplitudes.reshape(1 << gate.qubit, 2, -1)
-        if psi.shape[0] <= MATMUL_LEADING or psi.shape[2] >= MATMUL_ROWS:
-            out = np.matmul(gate.matrix, psi)
-        else:
-            out = _kron_form(gate.matrix, psi)
-        return QuantumState(n, out.reshape(-1))
-    a, b = gate.qubits
-    if b == (a + 1) % n:
-        return _apply_link_layer(state, (gate,))
+    n, qubits = state.num_qubits, gate.qubits
+    if max(qubits) >= n:
+        raise ValueError(f"qubits {qubits} out of range for {n} qubits")
+    if len(qubits) == 1 or qubits[1] == (qubits[0] + 1) % n:  # ring-local: one stage
+        return _apply_stages(state, ((qubits[0], gate.matrix.T),))
+    a, b = qubits
     psi = state.amplitudes.reshape([2] * n)
     psi = np.moveaxis(psi, (a, b), (0, 1)).reshape(4, -1)
     out = gate.matrix @ psi
@@ -236,15 +195,17 @@ def _cycle(psi: np.ndarray, k: int) -> np.ndarray:
     return psi.reshape(1 << k, -1).T.reshape(-1) if k else psi
 
 
-def _apply_link_layer(state: QuantumState, gates: Iterable[Gate2Q]) -> QuantumState:
-    """Two-qubit gates on disjoint ring pairs (a, (a+1) mod L), which the caller
-    checks, as cycled stages in the order given."""
+def _apply_stages(
+    state: QuantumState, stages: Iterable[tuple[int, np.ndarray]]
+) -> QuantumState:
+    """Cycled stages in the order given. A stage (first, m) applies the
+    transposed 2^k x 2^k matrix ``m`` to the ring-consecutive qubits
+    first, ..., first+k-1 (mod L); the caller checks ``m``."""
     n, psi, lead = state.num_qubits, state.amplitudes, 0  # axes: the ring from ``lead``
-    for gate in gates:
-        a = gate.qubits[0]
-        psi = _cycle(psi, (a - lead) % n)
-        psi = (psi.reshape(4, -1).T @ gate.matrix.T).reshape(-1)
-        lead = (a + 2) % n
+    for first, m in stages:
+        psi = _cycle(psi, (first - lead) % n)
+        psi = (psi.reshape(len(m), -1).T @ m).reshape(-1)
+        lead = (first + len(m).bit_length() - 1) % n
     return QuantumState(n, _cycle(psi, (n - lead) % n))
 
 

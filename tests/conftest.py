@@ -52,6 +52,22 @@ def embed_two_site(op1, op2, a: int, b: int, num_sites: int) -> np.ndarray:
     return kron_chain(ops)
 
 
+def dense_operator(matrix, qubits, num_sites: int) -> np.ndarray:
+    """The 2^L x 2^L operator of a 2x2 or 4x4 ``matrix`` on ``qubits``, in
+    that order; a 4x4 one as the sum over its entries m[(i, j), (k, l)] of
+    |i><k| on the first qubit times |j><l| on the second."""
+    if len(qubits) == 1:
+        ops = [EYE2] * num_sites
+        ops[qubits[0]] = matrix
+        return kron_chain(ops)
+    return sum(
+        matrix[2 * i + j, 2 * k + l]
+        * embed_two_site(np.outer(EYE2[i], EYE2[k]), np.outer(EYE2[j], EYE2[l]), *qubits,
+                         num_sites)
+        for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1)
+    )
+
+
 def ref_hamiltonian(num_sites: int, pbc: bool) -> np.ndarray:
     """Fully dimerized chain, couplings (0, 1): XX + YY on the intercell links."""
     dim = 1 << num_sites

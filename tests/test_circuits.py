@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (
+    dense_operator,
     moveaxis_two_qubit,
     qubit_bits,
     random_state_vector,
@@ -30,7 +31,9 @@ from sshquench.circuits import (
     quench_circuit,
     rz_gate,
 )
+from sshquench.randmeas import sample_haar_unitary
 from sshquench.state import (
+    Gate1Q,
     Gate2Q,
     QuantumState,
     apply_gate,
@@ -197,7 +200,8 @@ def _refuse(*args):
 
 
 class TestLinkLayer:
-    """A layer on disjoint ring pairs (a, (a+1) mod L) runs in cycled stages."""
+    """A circuit of ring-local gates, one-qubit gates and ring pairs
+    (a, (a+1) mod L), runs in one run of cycled stages."""
 
     @pytest.mark.parametrize("num_sites", range(2, 17, 2))
     @pytest.mark.parametrize("initial", ["neel", "singlet"])
@@ -226,19 +230,93 @@ class TestLinkLayer:
     @pytest.mark.parametrize(
         "gates",
         [
-            [coupling_block_gate(2, 1, 0.4)],  # a reversed pair
-            [coupling_block_gate(1, 3, 0.4)],  # a pair that is not adjacent
             [coupling_block_gate(1, 2, 0.4), coupling_block_gate(2, 3, 0.9)],  # overlapping
             [coupling_block_gate(5, 0, 0.4), rz_gate(2, 0.7), coupling_block_gate(3, 4, 0.9)],
         ],
-        ids=["reversed", "not_adjacent", "overlapping", "mixed"],
+        ids=["overlapping", "mixed"],
+    )
+    def test_ring_local_circuits_same_bits_as_gate_by_gate(self, gates, monkeypatch):
+        start = QuantumState(6, random_state_vector(6, np.random.default_rng(4)))
+        circuit = Circuit(6, tuple(gates))
+        want = _gate_by_gate(circuit, start).amplitudes
+        monkeypatch.setattr(circuits, "apply_gate", _refuse)  # the staged path only
+        assert circuit.apply(start).amplitudes.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            [coupling_block_gate(2, 1, 0.4)],  # a reversed pair
+            [coupling_block_gate(1, 3, 0.4)],  # a pair that is not adjacent
+        ],
+        ids=["reversed", "not_adjacent"],
     )
     def test_other_circuits_go_gate_by_gate(self, gates, monkeypatch):
         start = QuantumState(6, random_state_vector(6, np.random.default_rng(4)))
         circuit = Circuit(6, tuple(gates))
-        monkeypatch.setattr(circuits, "_apply_link_layer", _refuse)
+        monkeypatch.setattr(circuits, "_apply_stages", _refuse)
         got = circuit.apply(start).amplitudes
         assert got.tobytes() == _gate_by_gate(circuit, start).amplitudes.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), num_sites=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_random_ring_local_circuits(self, data, num_sites, seed):
+        # one-qubit gates and ring pairs, the wrap link included, overlapping
+        # and in any order; at L = 1 there are no pairs
+        rng = np.random.default_rng(seed)
+        start = QuantumState(num_sites, random_state_vector(num_sites, rng))
+        gates = []
+        for a in data.draw(st.lists(st.integers(0, num_sites - 1), max_size=12)):
+            if num_sites == 1 or data.draw(st.booleans()):
+                gates.append(Gate1Q(sample_haar_unitary(rng), a))
+            else:
+                gates.append(Gate2Q(random_unitary_4x4(rng), (a, (a + 1) % num_sites)))
+        circuit = Circuit(num_sites, tuple(gates))
+
+        def one_by_one(circuit):
+            state = start
+            for g in circuit.gates:
+                state = apply_gate(state, g)
+            return state.amplitudes
+
+        def dense(circuit):
+            vec = start.amplitudes
+            for g in circuit.gates:
+                vec = dense_operator(g.matrix, g.qubits, num_sites) @ vec
+            return vec
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(circuits, "apply_gate", _refuse)  # the staged path only
+            got = circuit.apply(start).amplitudes
+        np.testing.assert_allclose(got, dense(circuit), rtol=0, atol=1e-12)
+        assert got.tobytes() == one_by_one(circuit).tobytes()
+
+        if num_sites < 3:  # every pair of two sites is a ring pair
+            return
+        a = data.draw(st.integers(0, num_sites - 1))
+        ring_pair = (a, (a + 1) % num_sites)
+        b = data.draw(st.integers(0, num_sites - 1).filter(lambda b: b not in ring_pair))
+        at = data.draw(st.integers(0, len(gates)))
+        gates.insert(at, Gate2Q(random_unitary_4x4(rng), (a, b)))  # reversed or distant
+        circuit = Circuit(num_sites, tuple(gates))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(circuits, "_apply_stages", _refuse)  # gate by gate only
+            got = circuit.apply(start).amplitudes
+        np.testing.assert_allclose(got, dense(circuit), rtol=0, atol=1e-12)
+        assert got.tobytes() == one_by_one(circuit).tobytes()
+
+    def test_singlet_preparation_holds_two_states_above_its_input(self):
+        # gate by gate, each lone CX held three states of 16 * 2^L bytes at once
+        num_sites = 14
+        start = new_basis_state(num_sites, "0" * num_sites)
+        prep = prepare_singlet_product(num_sites)
+        prep.apply(start)  # warm every cache outside the traced build
+        tracemalloc.start()
+        try:
+            prep.apply(start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (16 << num_sites)
 
     def test_ring_build_holds_two_states_above_its_input(self):
         # the wrap link by moveaxis held four states of 16 * 2^L bytes at once

@@ -104,6 +104,18 @@ class TestRunOutputs:
             f = row.split(",")
             assert float(f[1]) == pytest.approx(float(f[5]), abs=1e-12)
 
+    def test_exact_mode_explicit_sites_take_one_purity_per_time(self, tmp_path, monkeypatch):
+        # the oracle of an explicit-site subsystem is the exact entropy itself
+        calls, purity = [], experiment.purity
+        monkeypatch.setattr(experiment, "purity", lambda *a: calls.append(a) or purity(*a))
+        text = SMALL.replace("entropy,twist,berry", "entropy") + "subsystem = 1,2\n"
+        out = tmp_path / "out"
+        conf = _write_config(tmp_path, text)
+        assert main(["run", str(conf), "--out", str(out), "--exact-probabilities", "--quiet"]) == 0
+        assert len(calls) == 3
+        rows = [r.split(",") for r in (out / "entropy.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [r[3] for r in rows]
+
     def test_reproducible_across_threads(self, tmp_path):
         conf = _write_config(tmp_path, SMALL + "p_layer = 0.01\nreadout_flip = 0.01\n")
         outs = []
@@ -295,6 +307,25 @@ class TestReport:
         assert main(["report", str(out)]) == 2
         assert "manifest.txt" in capsys.readouterr().err
         assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize(
+        "edit,line",
+        [
+            (lambda text: "", 1),
+            (lambda text: text.replace(",oracle,", ",exact,", 1), 1),
+            (lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n", 4),  # the last row
+        ],
+        ids=["empty", "no_oracle_column", "short_row"],
+    )
+    def test_report_refuses_a_malformed_csv(self, tmp_path, capsys, edit, line):
+        conf = _write_config(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        path = out / "entropy.csv"
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 2
+        assert f"{path}:{line}: " in capsys.readouterr().err
 
     def test_report_refuses_rerun_that_crashed(self, tmp_path, capsys, monkeypatch):
         # the rerun writes a new entropy.csv, then fails: the old twist.csv

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import (
-    embed_two_site,
+    dense_operator,
     haar_pair_product,
     hamming_distance,
     moveaxis_two_qubit,
@@ -23,8 +23,6 @@ from sshquench.state import (
     CapacityError,
     Gate1Q,
     Gate2Q,
-    MATMUL_LEADING,
-    MATMUL_ROWS,
     UNITARY_ATOL,
     QuantumState,
     _IDENTITY_4,
@@ -132,17 +130,12 @@ class TestGates:
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 5, 8, 12])
     def test_one_qubit_gate_every_qubit_matches_kron(self, num_qubits):
-        # qubits with more than MATMUL_LEADING leading indices and rows
-        # shorter than MATMUL_ROWS take the kron form (5-7 of L = 8, 7-11
-        # of L = 12), every other one matmul
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
         u = _random_unitary_2x2(0.7, -1.3, 0.4)
-        forms = set()
         for q in range(num_qubits):
             rows = 1 << (num_qubits - q - 1)
-            forms.add((1 << q) <= MATMUL_LEADING or rows >= MATMUL_ROWS)
             got = apply_gate(state, Gate1Q(u, q))
             if num_qubits <= 8:
                 op = np.kron(np.kron(np.eye(1 << q), u), np.eye(rows))
@@ -150,12 +143,11 @@ class TestGates:
             else:  # the full operator would take 256 MB: u on the qubit's axis
                 want = np.einsum("ij,ajb->aib", u, vec.reshape(1 << q, 2, rows))
             np.testing.assert_allclose(got.amplitudes, want.reshape(-1), atol=1e-12)
-        assert forms == ({True, False} if num_qubits >= 8 else {True})
 
     @pytest.mark.parametrize("num_qubits", [2, 4, 6, 8, 12, 16])
     def test_adjacent_two_qubit_gate_keeps_the_moveaxis_bits(self, num_qubits):
         # every ring pair (a, (a+1) mod L), the wrap link included, runs as a
-        # one-gate link stage and gives the bits of the moveaxis form
+        # one-gate stage and gives the bits of the moveaxis form
         rng = np.random.default_rng(num_qubits)
         vec = random_state_vector(num_qubits, rng)
         state = QuantumState(num_qubits, vec)
@@ -188,15 +180,8 @@ class TestGates:
         vec = random_state_vector(num_qubits, rng)
         m = random_unitary_4x4(rng)
         got = apply_gate(QuantumState(num_qubits, vec), Gate2Q(m, pair))
-        # |i j><k l| on (pair[0], pair[1]) with weight m[(i, j), (k, l)]
-        unit = np.eye(2)
-        op = sum(
-            m[2 * i + j, 2 * k + l]
-            * embed_two_site(np.outer(unit[i], unit[k]), np.outer(unit[j], unit[l]), *pair,
-                             num_qubits)
-            for i in (0, 1) for j in (0, 1) for k in (0, 1) for l in (0, 1)
-        )
-        np.testing.assert_allclose(got.amplitudes, op @ vec, atol=1e-12)
+        np.testing.assert_allclose(got.amplitudes, dense_operator(m, pair, num_qubits) @ vec,
+                                   atol=1e-12)
 
     def test_nonunitary_rejected(self):
         with pytest.raises(ValueError):
