@@ -537,19 +537,22 @@ class RunFileError(ValueError):
     """A malformed file in a run directory; the message names the file and line."""
 
 
-def _read_csv_columns(path: Path, header: tuple[str, ...]) -> dict[str, list[str]]:
-    """The columns of a table written with ``header``, by name."""
+def _read_csv_columns(path: Path, header: tuple[str, ...]) -> dict[str, list]:
+    """The columns of a table written with ``header``, by name: ``flags`` as
+    text, every other column as floats."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(header):
             raise RunFileError(f"{path}:1: expected the header {','.join(header)}")
         rows = []
         for row in reader:
+            where = f"{path}:{reader.line_num}"
             if len(row) != len(header):
-                raise RunFileError(
-                    f"{path}:{reader.line_num}: {len(row)} fields, expected {len(header)}"
-                )
-            rows.append(row)
+                raise RunFileError(f"{where}: {len(row)} fields, expected {len(header)}")
+            try:
+                rows.append([x if h == "flags" else float(x) for h, x in zip(header, row)])
+            except ValueError:
+                raise RunFileError(f"{where}: a number field holds no number") from None
     return {h: [row[i] for row in rows] for i, h in enumerate(header)}
 
 
@@ -578,8 +581,8 @@ def compare_report(out_dir: str | Path) -> str:
     Returns the summary text and writes it to ``summary.txt`` in the run
     directory. Raises FileNotFoundError when ``manifest.txt``, which a run
     writes last, or every known CSV is missing, and ``RunFileError`` when a
-    CSV's header is not its ``TABLE_HEADERS`` entry or a row has another
-    number of fields.
+    CSV's header is not its ``TABLE_HEADERS`` entry, a row has another
+    number of fields or a number field holds no number.
     """
     out_dir = Path(out_dir)
     manifest = out_dir / "manifest.txt"

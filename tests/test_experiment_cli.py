@@ -314,8 +314,9 @@ class TestReport:
             (lambda text: "", 1),
             (lambda text: text.replace(",oracle,", ",exact,", 1), 1),
             (lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n", 4),  # the last row
+            (lambda text: text.replace("\n0,", "\nabc,", 1), 2),  # t = 0 reads "abc"
         ],
-        ids=["empty", "no_oracle_column", "short_row"],
+        ids=["empty", "no_oracle_column", "short_row", "not_a_number"],
     )
     def test_report_refuses_a_malformed_csv(self, tmp_path, capsys, edit, line):
         conf = _write_config(tmp_path, SMALL)
