@@ -3,7 +3,7 @@
 
 Usage: python scripts/bench_pairs.py BEFORE AFTER --out BENCH_<n>.json
 
-BEFORE and AFTER are checkouts with ``src/`` and ``benchmark/``. Every
+BEFORE and AFTER are checkouts with ``src/``, ``scripts/`` and ``benchmark/``. Every
 measurement runs once per checkout in each pair, BEFORE first in even
 pairs and AFTER first in odd ones, so that a drift of the machine's speed
 falls on both sides alike. Each ``benchmark/run.py`` runs for the
@@ -14,9 +14,10 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               and quartiles, and the number of pairs in which AFTER was
               strictly better (the direction of each metric is read from
               AFTER's BENCHMARK.json);
-  stages      this directory's ``bench_stages.py`` with each checkout's
-              ``src`` on the Python path, in 3 pairs: per run and medians,
-              and the medians of the rotation forms;
+  stages      each checkout's own ``scripts/bench_stages.py`` with its
+              ``src`` on the Python path (the script calls private names,
+              which a change may alter), in 3 pairs: per run and medians,
+              and the medians of the rotation forms, read per side;
   traced      one ``run.py --trace 1`` of every workload per checkout, at
               the first seed: its per-layer metrics;
   threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
@@ -43,7 +44,6 @@ import numpy as np
 
 from bench_stages import checkout_state
 
-HERE = Path(__file__).resolve().parent
 PAIRS = 10
 SEEDS = (777, 2718)
 SIDES = ("before", "after")
@@ -135,7 +135,7 @@ def stages(dirs) -> dict:
     runs = {side: [] for side in SIDES}
     for pair in range(STAGE_PAIRS):
         for side in _ordered(pair):
-            argv = [sys.executable, str(HERE / "bench_stages.py")]
+            argv = [sys.executable, str(dirs[side] / "scripts" / "bench_stages.py")]
             proc = subprocess.run(argv, env=_with_src(dirs[side]), capture_output=True,
                                   text=True, check=True)
             runs[side].append(json.loads(proc.stdout))

@@ -25,10 +25,9 @@ Stages:
                         sampled from that state, as that workload flips them.
 Section ``rotate`` times one rotation round, a fixed Haar unitary per
 qubit, at L = 8, 10, 12, 14 and 16: ``rotate_state_s`` as the package
-does it, and ``k<k>_s`` for the cycled-block form with blocks of k = 1, 2
-and 4 qubits, the last block shorter where k does not divide L.
-``rotate_state``'s block size, and the chain length from which it rotates
-in blocks, come from these.
+does it, and ``blocks_s`` for the cycled-block form with blocks of 4
+qubits, the last block shorter where 4 does not divide L. The chain
+length from which ``rotate_state`` rotates in blocks comes from these.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
@@ -101,14 +100,14 @@ def _stages():
     for num_sites, calls in ((8, 100), (16, 5)):
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         yield (f"random_round_l{num_sites}", calls,
-               lambda s=state, n=SHOTS[num_sites]: _random_round(s, 1, n, rng, P_TOT))
+               lambda s=state, n=SHOTS[num_sites]: _random_round(s, n, rng, P_TOT))
     neel, singlet = prepare_neel(16), prepare_singlet_product(16)
     yield "prep_l16_neel", 20, neel.run
     yield "prep_l16_singlet", 20, singlet.run
     start = neel.run()
     evolution = evolution_circuit(0.3, 16, "pbc", fused=True)
-    yield "state_build_l16", 20, lambda: evolution.apply(start)
-    state = evolution.apply(start)
+    yield "state_build_l16", 20, lambda: evolution.run(start)
+    state = evolution.run(start)
     yield "exact_twist_l16", 50, lambda: exact_twist(state, q=1, kind="spin")
     outcomes = sample_outcomes(probabilities(state), TWIST_SHOTS, rng)
     yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
@@ -124,9 +123,7 @@ def _rotations():
         state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
         us = [sample_haar_unitary(rng) for _ in range(num_sites)]
         yield num_sites, "rotate_state", calls, lambda s=state, us=us: rotate_state(s, us)
-        for k in (1, 2, 4):
-            yield (num_sites, f"k{k}", calls,
-                   lambda s=state, us=us, k=k: _rotate_in_blocks(s, us, k))
+        yield num_sites, "blocks", calls, lambda s=state, us=us: _rotate_in_blocks(s, us)
 
 
 def _time(call, calls: int, repeats: int) -> dict:

@@ -5,7 +5,7 @@ Initial-state preparation and the exact flat-band time evolution. At
 blocks exp(-i t (XX + YY)) on the intercell links, so evolution circuits for
 arbitrary t carry no Trotter error. Gate-level circuits build each block from
 the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
-fused circuits apply it as one dense 4x4 gate. ``Circuit.apply`` runs a
+fused circuits apply it as one dense 4x4 gate. ``Circuit.run`` runs a
 circuit of ring-local gates (one-qubit gates and pairs (a, (a+1) mod L)),
 such as the preparations and the fused evolution, as one run of cycled
 stages (``state._apply_stages``).
@@ -97,25 +97,18 @@ class Circuit:
                     f"{self.num_qubits} qubits"
                 )
 
-    def apply(self, state: QuantumState) -> QuantumState:
-        """The gates in order: ring-local gates in one run of cycled stages,
-        any other circuit gate by gate."""
+    def run(self, start: QuantumState | None = None) -> QuantumState:
+        """Apply the circuit to ``start`` of as many qubits, or to |0...0> if None:
+        ring-local gates in one run of cycled stages, any other circuit gate by gate."""
         n = self.num_qubits
-        if state.num_qubits == n and all(
-            isinstance(g, Gate1Q) or g.qubits[1] == (g.qubits[0] + 1) % n for g in self.gates
-        ):
+        state = new_basis_state(n, "0" * n) if start is None else start
+        if state.num_qubits != n:
+            raise ValueError("start state and circuit act on different qubit counts")
+        if all(isinstance(g, Gate1Q) or g.qubits[1] == (g.qubits[0] + 1) % n for g in self.gates):
             return _apply_stages(state, [(g.qubits[0], g.matrix.T) for g in self.gates])
         for g in self.gates:
             state = apply_gate(state, g)
         return state
-
-    def run(self, start: QuantumState | None = None) -> QuantumState:
-        """Apply the circuit to ``start`` of as many qubits, or to |0...0> if None."""
-        if start is None:
-            start = new_basis_state(self.num_qubits, "0" * self.num_qubits)
-        if start.num_qubits != self.num_qubits:
-            raise ValueError("start state and circuit act on different qubit counts")
-        return self.apply(start)
 
     def then(self, other: "Circuit") -> "Circuit":
         if other.num_qubits != self.num_qubits:

@@ -139,7 +139,7 @@ _KEYS = {
     "shift_mode": ("none", "shift_mode", SHIFT_MODES),
     "mitigate": ("auto", "mitigate", MITIGATE_MODES),
     "save_shots": ("false", "save_shots", bool),
-    "threads": ("1", "threads", (1, math.inf)),
+    "threads": ("1", "threads", (1, 64)),  # _parallel_map keeps 2x this many in flight
     "exact_probabilities": ("false", "exact_probabilities", bool),
     "out": (None, None, None),
 }
@@ -158,8 +158,9 @@ def _check(key: str, value) -> None:
         return
     low, high = rule
     if not low <= value <= high:
-        if high == math.inf:
-            raise ConfigError(f"{key} must be >= {low}", key=key)
+        if isinstance(low, int):  # an integer key names the bound it crosses
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise ConfigError(f"{key} must be {bound}", key=key)
         raise ConfigError(f"{key} must be in [{low:g}, {high:g}], got {value}", key=key)
 
 

@@ -111,7 +111,7 @@ def _closed_form_oracle(config, t: float) -> float | None:
         return closed_form_entropy(
             config.initial, t, config.boundary, num_cells=cells_per_half
         )
-    if config.subsystem == "bulk":
+    if config.subsystem == "bulk" and config.num_sites % 8 == 0:  # whole cells only then
         # two boundaries regardless of chain ends: the periodic form
         return closed_form_entropy(config.initial, t, "pbc", num_cells=cells_per_half)
     return None
@@ -193,15 +193,14 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
                 _twist_point(config, state, t_idx, reference, p_tot_true) if twist_on else None,
             )
         rng = child_generator(config.seed, ENTROPY_STREAM, t_idx, u)
-        table = _random_round(state, u, config.num_shots, rng, p_tot_true, config.readout_flip)
-        sub_vec = marginal_counts(table, subset)
+        counts, _ = _random_round(state, config.num_shots, rng, p_tot_true, config.readout_flip)
+        sub_vec = marginal_counts(counts, subset)
         x_unbiased = purity_statistic(sub_vec, config.num_shots, "unbiased")
         x_plugin = purity_statistic(sub_vec, config.num_shots, "plugin")
         x_full = float("nan")
-        if config.mitigation_enabled():
-            full = marginal_counts(table, tuple(range(config.num_sites)))
-            x_full = purity_statistic(full, config.num_shots, config.estimator)
-        shots = _nonzero(table.counts) if config.save_shots else None
+        if config.mitigation_enabled():  # the full chain's marginal is the vector itself
+            x_full = purity_statistic(counts, config.num_shots, config.estimator)
+        shots = _nonzero(counts) if config.save_shots else None
         return x_unbiased, x_plugin, x_full, shots
 
     results = _parallel_map(measure, time_points(), config.threads)
@@ -260,14 +259,11 @@ def _measure(dist, num_shots, p_tot, readout_flip, rng) -> np.ndarray:
     return sample_shots(dist, num_shots, rng)
 
 
-def _random_round(
-    state, unitary_index, num_shots, rng, p_tot=0.0, readout_flip=0.0
-) -> ShotTable:
-    """One randomized-measurement round: a Haar unitary per qubit, then ``_measure``."""
+def _random_round(state, num_shots, rng, p_tot=0.0, readout_flip=0.0):
+    """One round, a Haar unitary per qubit then ``_measure``: (count vector, unitaries)."""
     unitaries = tuple(sample_haar_unitary(rng) for _ in range(state.num_qubits))
     dist = probabilities(rotate_state(state, unitaries))
-    counts = _measure(dist, num_shots, p_tot, readout_flip, rng)
-    return ShotTable(unitary_index, state.num_qubits, num_shots, counts, unitaries)
+    return _measure(dist, num_shots, p_tot, readout_flip, rng), unitaries
 
 
 def run_randomized_measurements(
@@ -283,8 +279,10 @@ def run_randomized_measurements(
     """
     if num_unitaries < 1:
         raise ValueError("num_unitaries must be >= 1")
+    rounds = [_random_round(state, num_shots, rng) for _ in range(num_unitaries)]
     return [
-        _random_round(state, u, num_shots, rng) for u in range(1, num_unitaries + 1)
+        ShotTable(u, state.num_qubits, num_shots, counts, us)
+        for u, (counts, us) in enumerate(rounds, start=1)
     ]
 
 
@@ -347,9 +345,10 @@ def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
 
     if config.shift_mode != "none":
         # the mitigated column holds the shifted mitigated series, or the
-        # shifted raw series when mitigation is off
+        # shifted raw series when mitigation is off; a series with no finite
+        # value has nothing to align and stays nan
         base = np.array([row[2] if mitigate_on else row[1] for row in rows])
-        aligned, _offset = shift_align(base, config.shift_mode)
+        aligned = shift_align(base, config.shift_mode)[0] if np.isfinite(base).any() else base
         rows = [
             (t, raw, float(v), oracle, sigma, flags + ("shifted",))
             for (t, raw, _m, oracle, sigma, flags), v in zip(rows, aligned)
@@ -537,9 +536,9 @@ class RunFileError(ValueError):
     """A malformed file in a run directory; the message names the file and line."""
 
 
-def _read_csv_columns(path: Path, header: tuple[str, ...]) -> dict[str, list]:
-    """The columns of a table written with ``header``, by name: ``flags`` as
-    text, every other column as floats."""
+def _read_csv_columns(path: Path, header: tuple[str, ...]) -> dict[str, list | np.ndarray]:
+    """The columns of a table written with ``header``, by name: ``flags`` as a
+    list of text, every other column as a float array."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(header):
@@ -553,11 +552,10 @@ def _read_csv_columns(path: Path, header: tuple[str, ...]) -> dict[str, list]:
                 rows.append([x if h == "flags" else float(x) for h, x in zip(header, row)])
             except ValueError:
                 raise RunFileError(f"{where}: a number field holds no number") from None
-    return {h: [row[i] for row in rows] for i, h in enumerate(header)}
-
-
-def _floats(column: list[str]) -> np.ndarray:
-    return np.array([float(x) for x in column])
+    return {
+        h: [row[i] for row in rows] if h == "flags" else np.array([row[i] for row in rows])
+        for i, h in enumerate(header)
+    }
 
 
 def _series_stats(est: np.ndarray, ref: np.ndarray, circular: bool = False):
@@ -600,7 +598,7 @@ def compare_report(out_dir: str | Path) -> str:
     if "entropy" in tables:
         cols = tables["entropy"]
         for series in ("raw", "mitigated"):
-            rms, peak, n = _series_stats(_floats(cols[series]), _floats(cols["oracle"]))
+            rms, peak, n = _series_stats(cols[series], cols["oracle"])
             lines.append(
                 f"entropy {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}"
             )
@@ -608,7 +606,7 @@ def compare_report(out_dir: str | Path) -> str:
     if "twist" in tables:
         cols = tables["twist"]
         z = {
-            series: _floats(cols[f"re_{series}"]) + 1j * _floats(cols[f"im_{series}"])
+            series: cols[f"re_{series}"] + 1j * cols[f"im_{series}"]
             for series in ("raw", "post", "exact")
         }
         for series in ("raw", "post"):
@@ -626,8 +624,8 @@ def compare_report(out_dir: str | Path) -> str:
             ("gamma_post", {"post_unreliable", "post_empty", "exact_unreliable"}),
         ):
             kept = np.array([not (row & bad) for row in flags], dtype=bool)
-            vals = np.where(kept, _floats(cols[series]), np.nan)
-            rms, peak, n = _series_stats(vals, _floats(cols["gamma_exact"]), circular=True)
+            vals = np.where(kept, cols[series], np.nan)
+            rms, peak, n = _series_stats(vals, cols["gamma_exact"], circular=True)
             lines.append(
                 f"berry {series}: rms={_fmt(rms)} max={_fmt(peak)} "
                 f"points={n} (unreliable rows excluded)"

@@ -33,17 +33,18 @@ a - b/2, with or without a fused multiply-add. Only subnormal inputs, which
 no count or probability here comes near, could tell the two apart.
 
 Rotation: from 12 qubits, ``rotate_state`` turns the amplitudes in blocks
-of k = 4 qubits: each block's factor is the kron of its checked unitaries'
-transposes (broadcast, not ``np.kron``), and the blocks run in order as the
-cycled stages of ``state._apply_stages``. Consecutive blocks need no
-transpose between them, and one norm check ends the round. k = 4 beat k = 1
-and 2 at L = 12-16 (``rotate`` in ``scripts/bench_stages.py``). Below 12
-qubits each qubit takes one ``apply_gate``, as ``benchmark/test_bench.py``
-counts those gates at L = 8.
+of 4 qubits, the last shorter where 4 does not divide L: each block's factor
+is the kron of its checked unitaries' transposes (broadcast, not
+``np.kron``), and the blocks run in order as the cycled stages of
+``state._apply_stages``. Consecutive blocks need no transpose between them,
+and one norm check ends the round. Blocks of 4 beat blocks of 1 and 2 at
+L = 12-16 (``BENCH_16.json``). Below 12 qubits each qubit takes one
+``apply_gate``, as ``benchmark/test_bench.py`` counts those gates at L = 8.
 
 Counts: a round keeps the integer vector of length 2^L that the multinomial
-draw returns (``ShotTable.counts``); a subsystem marginal is a reshape, a sum
-over the other qubits and a transpose into the listed order.
+draw returns, which ``ShotTable`` wraps only for the library and for shot
+files; a subsystem marginal is a reshape, a sum over the other qubits and a
+transpose into the listed order.
 
 Seeding: every stochastic task derives its generator through
 ``child_generator(master_seed, *key)``, a counter-based spawn of
@@ -132,19 +133,19 @@ def rotate_state(state: QuantumState, unitaries: Sequence[np.ndarray]) -> Quantu
     if len(unitaries) != state.num_qubits:
         raise ValueError("need exactly one unitary per qubit")
     if state.num_qubits >= 12:
-        return _rotate_in_blocks(state, unitaries, 4)
+        return _rotate_in_blocks(state, unitaries)
     for q, u in enumerate(unitaries):
         state = apply_gate(state, Gate1Q(u, q, name="RAND"))
     return state
 
 
-def _rotate_in_blocks(state: QuantumState, unitaries, block: int) -> QuantumState:
-    """Cycled stages of ``block`` qubits, the last shorter if ``block`` does not divide L."""
+def _rotate_in_blocks(state: QuantumState, unitaries) -> QuantumState:
+    """Cycled stages of 4 qubits, the last shorter if 4 does not divide L."""
     mats = [_as_unitary(u, 2).T for u in unitaries]
     stages = []
-    for start in range(0, state.num_qubits, block):
+    for start in range(0, state.num_qubits, 4):
         factor = mats[start]
-        for m in mats[start + 1:start + block]:  # kron(factor, m), broadcast
+        for m in mats[start + 1:start + 4]:  # kron(factor, m), broadcast
             factor = (factor[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(factor), -1)
         stages.append((start, factor))
     return _apply_stages(state, stages)
@@ -185,14 +186,14 @@ def hamming_pair_sum(weights: np.ndarray) -> float:
     return float(w @ _kernel_transform(w, _index_qubits(w)))
 
 
-def marginal_counts(table: ShotTable, subset: Sequence[int]) -> np.ndarray:
-    """Count vector over the listed qubits, the first listed one as the MSB."""
-    n = table.num_qubits
+def marginal_counts(counts: np.ndarray, subset: Sequence[int]) -> np.ndarray:
+    """Marginal of a 2^n count vector on the listed qubits, the first listed one as MSB."""
+    n = _index_qubits(counts)
     sub = _validated_subset(n, subset)
     if sub == tuple(range(n)):
-        return table.counts  # the full chain in register order
+        return counts  # the full chain in register order
     rest = tuple(q for q in range(n) if q not in sub)
-    kept = table.counts.reshape((2,) * n).sum(axis=rest)  # axes in ascending order
+    kept = counts.reshape((2,) * n).sum(axis=rest)  # axes in ascending order
     return kept.transpose([sorted(sub).index(q) for q in sub]).reshape(-1)
 
 
@@ -250,7 +251,7 @@ def estimate_purity(
         if tb.num_qubits != n or tb.num_shots != shots:
             raise ValueError("tables disagree on qubit count or shot budget")
     return round_average(
-        [purity_statistic(marginal_counts(tb, sub), shots, variant) for tb in tables]
+        [purity_statistic(marginal_counts(tb.counts, sub), shots, variant) for tb in tables]
     )
 
 

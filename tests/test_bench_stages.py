@@ -42,4 +42,4 @@ def test_one_repeat_prints_every_stage():
         assert len(stage["blocks_s"]) == 1
     assert set(result["rotate"]) == {f"l{n}" for n in ROTATE_SIZES}
     for forms in result["rotate"].values():
-        assert set(forms) == {"rotate_state_s", "k1_s", "k2_s", "k4_s"}
+        assert set(forms) == {"rotate_state_s", "blocks_s"}

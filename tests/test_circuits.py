@@ -89,7 +89,7 @@ class TestEvolution:
 
     def test_time_zero_is_identity(self):
         initial = prepare_neel(4).run()
-        evolved = evolution_circuit(0.0, 4, "pbc").apply(initial)
+        evolved = evolution_circuit(0.0, 4, "pbc").run(initial)
         assert abs(overlap(initial, evolved)) == pytest.approx(1.0, abs=1e-10)
 
     def test_coupling_block_full_swap(self):
@@ -148,9 +148,9 @@ class TestEvolution:
     )
     def test_group_property(self, t1, t2):
         initial = prepare_neel(6).run()
-        once = evolution_circuit(t1 + t2, 6, "pbc").apply(initial)
-        twice = evolution_circuit(t2, 6, "pbc").apply(
-            evolution_circuit(t1, 6, "pbc").apply(initial)
+        once = evolution_circuit(t1 + t2, 6, "pbc").run(initial)
+        twice = evolution_circuit(t2, 6, "pbc").run(
+            evolution_circuit(t1, 6, "pbc").run(initial)
         )
         assert abs(overlap(once, twice)) == pytest.approx(1.0, abs=1e-9)
 
@@ -213,7 +213,7 @@ class TestLinkLayer:
             want = _gate_by_gate(evolution, start).amplitudes
             with monkeypatch.context() as m:
                 m.setattr(circuits, "apply_gate", _refuse)  # the layer path only
-                got = evolution.apply(start).amplitudes
+                got = evolution.run(start).amplitudes
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("num_sites", [2, 4, 6, 8, 12, 16])
@@ -225,7 +225,7 @@ class TestLinkLayer:
         layer = Circuit(num_sites, tuple(Gate2Q(random_unitary_4x4(rng), links[i]) for i in order))
         want = _gate_by_gate(layer, start).amplitudes
         monkeypatch.setattr(circuits, "apply_gate", _refuse)  # the layer path only
-        assert layer.apply(start).amplitudes.tobytes() == want.tobytes()
+        assert layer.run(start).amplitudes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "gates",
@@ -240,7 +240,7 @@ class TestLinkLayer:
         circuit = Circuit(6, tuple(gates))
         want = _gate_by_gate(circuit, start).amplitudes
         monkeypatch.setattr(circuits, "apply_gate", _refuse)  # the staged path only
-        assert circuit.apply(start).amplitudes.tobytes() == want.tobytes()
+        assert circuit.run(start).amplitudes.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "gates",
@@ -254,7 +254,7 @@ class TestLinkLayer:
         start = QuantumState(6, random_state_vector(6, np.random.default_rng(4)))
         circuit = Circuit(6, tuple(gates))
         monkeypatch.setattr(circuits, "_apply_stages", _refuse)
-        got = circuit.apply(start).amplitudes
+        got = circuit.run(start).amplitudes
         assert got.tobytes() == _gate_by_gate(circuit, start).amplitudes.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -286,7 +286,7 @@ class TestLinkLayer:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(circuits, "apply_gate", _refuse)  # the staged path only
-            got = circuit.apply(start).amplitudes
+            got = circuit.run(start).amplitudes
         np.testing.assert_allclose(got, dense(circuit), rtol=0, atol=1e-12)
         assert got.tobytes() == one_by_one(circuit).tobytes()
 
@@ -300,7 +300,7 @@ class TestLinkLayer:
         circuit = Circuit(num_sites, tuple(gates))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(circuits, "_apply_stages", _refuse)  # gate by gate only
-            got = circuit.apply(start).amplitudes
+            got = circuit.run(start).amplitudes
         np.testing.assert_allclose(got, dense(circuit), rtol=0, atol=1e-12)
         assert got.tobytes() == one_by_one(circuit).tobytes()
 
@@ -309,10 +309,10 @@ class TestLinkLayer:
         num_sites = 14
         start = new_basis_state(num_sites, "0" * num_sites)
         prep = prepare_singlet_product(num_sites)
-        prep.apply(start)  # warm every cache outside the traced build
+        prep.run(start)  # warm every cache outside the traced build
         tracemalloc.start()
         try:
-            prep.apply(start)
+            prep.run(start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,10 +323,10 @@ class TestLinkLayer:
         num_sites = 14
         start = prepare_singlet_product(num_sites).run()
         evolution = evolution_circuit(0.3, num_sites, "pbc", fused=True)
-        evolution.apply(start)  # warm every cache outside the traced build
+        evolution.run(start)  # warm every cache outside the traced build
         tracemalloc.start()
         try:
-            evolution.apply(start)
+            evolution.run(start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

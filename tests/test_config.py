@@ -191,6 +191,15 @@ class TestOverrides:
             parse_config_text(MINIMAL)
         )
 
+    def test_threads_bounded_at_64(self):
+        # the bound itself is accepted on every route; only parsed, never run
+        assert parse_config_text(MINIMAL + "threads = 64\n").threads == 64
+        assert parse_config_text(MINIMAL, {"threads": "64"}).threads == 64
+        assert replace(parse_config_text(MINIMAL), threads=64).threads == 64
+        with pytest.raises(ConfigError, match="threads must be <= 64") as err:
+            parse_config_text(MINIMAL + "threads = 65\n")
+        assert err.value.line == 3
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0") as err:
             parse_config_text(MINIMAL, {"seed": "-7"})
@@ -205,6 +214,7 @@ class TestOverrides:
             ({"bogus": "1"}, "unknown key 'bogus'"),
             ({"seed": " "}, "seed has no value"),
             ({"times": "0, 0.5"}, "either an explicit 'times' list"),
+            ({"threads": "65"}, "threads must be <= 64"),
         ],
     )
     def test_overrides_checked_like_lines(self, overrides, message):
@@ -280,6 +290,7 @@ class TestCodeBuilt:
              "subsystem", "bulk subsystem needs L divisible by 4"),
             ({"num_sites": 6}, {"L": "6"}, "L",
              "symmetric-bipartition entropy needs L divisible by 4"),
+            ({"threads": 65}, {"threads": "65"}, "threads", "threads must be <= 64"),
         ],
     )
     def test_replace_checked_like_parsing(self, fields, overrides, key, message):

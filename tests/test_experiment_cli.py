@@ -116,6 +116,18 @@ class TestRunOutputs:
         rows = [r.split(",") for r in (out / "entropy.csv").read_text().splitlines()[1:]]
         assert [r[1] for r in rows] == [r[3] for r in rows]
 
+    def test_exact_mode_bulk_oracle_is_exact_where_the_block_cuts_cells(self, tmp_path):
+        # at L = 12 the bulk sites 4..9 start and end inside a cell, so no
+        # closed form applies and the oracle column is the exact entropy
+        text = SMALL.replace("L = 4", "L = 12").replace("entropy,twist,berry", "entropy")
+        conf = _write_config(tmp_path, text + "subsystem = bulk\n")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--exact-probabilities", "--quiet"]) == 0
+        rows = [r.split(",") for r in (out / "entropy.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r[1]) == pytest.approx(float(r[3]), abs=1e-9)
+
     def test_reproducible_across_threads(self, tmp_path):
         conf = _write_config(tmp_path, SMALL + "p_layer = 0.01\nreadout_flip = 0.01\n")
         outs = []
@@ -253,6 +265,22 @@ class TestRunOutputs:
                 raw = np.array([float(r[1]) for r in rows])
                 shifted = np.array([float(r[2]) for r in rows])
                 np.testing.assert_allclose(shifted, raw - raw[0], atol=1e-11)
+
+
+    def test_valley_shift_of_an_all_nan_series_stays_nan(self, tmp_path):
+        # two shots per round: every raw purity estimate here is nonpositive
+        conf = _write_config(
+            tmp_path,
+            "L = 4\ninitial = neel\nt_points = 2\nn_unitaries = 1\nn_shots = 2\n"
+            "mitigate = off\nshift_mode = valley_to_zero\nseed = 2\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        rows = [r.split(",") for r in (out / "entropy.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for r in rows:
+            assert r[1] == r[2] == "nan"
+            assert r[5] == "raw_nonpositive_purity;no_mitigation;shifted"
 
 
 class TestManifestLayers:
@@ -561,6 +589,13 @@ class TestCliErrors:
         out = tmp_path / "out"
         assert main(["run", str(conf), "--out", str(out), "--threads", "0", "--quiet"]) == 2
         assert capsys.readouterr().err == "error: threads must be >= 1\n"
+        assert not out.exists()
+
+    def test_too_many_threads_flag_exit_two(self, tmp_path, capsys):
+        conf = _write_config(tmp_path, "L = 4\ninitial = neel\nn_unitaries = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--threads", "65", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: threads must be <= 64\n"
         assert not out.exists()
 
     def test_missing_config_exit_two(self, tmp_path):

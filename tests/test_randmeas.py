@@ -148,6 +148,27 @@ class TestShotCollection:
             table.counts[0] = 4
         assert vec.flags.writeable  # the caller's array is left as it was
 
+    def test_only_the_library_builds_tables(self, tmp_path, monkeypatch):
+        built = []
+        validate = ShotTable.__post_init__
+
+        def counted(table):
+            built.append(table.unitary_index)
+            validate(table)
+
+        monkeypatch.setattr(ShotTable, "__post_init__", counted)
+        conf = tmp_path / "l4.conf"
+        conf.write_text(
+            "L = 4\ninitial = neel\ntimes = 0, 0.3\nquantities = entropy\n"
+            "n_unitaries = 3\nn_shots = 16\np_layer = 0.01\nsave_shots = true\n"
+        )
+        run_experiment(conf, tmp_path / "out", quiet=True)
+        assert built == []  # the runner keeps its rounds' count vectors
+        tables = run_randomized_measurements(_bell_state(), 3, 16, np.random.default_rng(2))
+        assert built == [1, 2, 3]
+        for tb in tables:
+            assert tb.counts.sum() == 16 and not tb.counts.flags.writeable
+
     def test_child_generator_keyed_independence(self):
         a = child_generator(123, 0, 4, 7).random(4)
         b = child_generator(123, 0, 4, 7).random(4)
@@ -233,21 +254,26 @@ class TestKernel:
     def test_marginalization(self):
         counts = np.zeros(8, dtype=np.int64)
         counts[[0b101, 0b100, 0b011]] = [3, 2, 2]
-        table = ShotTable(1, 3, 7, counts)
         # subset (0, 2): bits of sites 1 and 3
-        vec = marginal_counts(table, (0, 2))
+        vec = marginal_counts(counts, (0, 2))
         # 101 -> (1,1)=3 ; 100 -> (1,0)=2 ; 011 -> (0,1)=2
         np.testing.assert_array_equal(vec, [0, 2, 2, 3])
         # subset (1, 0): site 2 is now the MSB
         # 101 -> (0,1)=3 ; 100 -> (0,1)=2 ; 011 -> (1,0)=2
-        np.testing.assert_array_equal(marginal_counts(table, (1, 0)), [0, 5, 2, 0])
-        assert marginal_counts(table, (0, 1, 2)) is table.counts
+        np.testing.assert_array_equal(marginal_counts(counts, (1, 0)), [0, 5, 2, 0])
+        assert marginal_counts(counts, (0, 1, 2)) is counts
         np.testing.assert_array_equal(
-            marginal_counts(table, (2, 1, 0)), counts[[0, 4, 2, 6, 1, 5, 3, 7]]
+            marginal_counts(counts, (2, 1, 0)), counts[[0, 4, 2, 6, 1, 5, 3, 7]]
         )
+        # a table's read-only vector, as estimate_purity passes it
+        table = ShotTable(1, 3, 7, counts)
+        assert marginal_counts(table.counts, (0, 1, 2)) is table.counts
+        np.testing.assert_array_equal(marginal_counts(table.counts, (0, 2)), vec)
         for bad in ((), (0, 0), (3,)):
             with pytest.raises(ValueError):
-                marginal_counts(table, bad)
+                marginal_counts(counts, bad)
+        with pytest.raises(ValueError, match="power of two"):
+            marginal_counts(counts[:6], (0,))
 
     def test_statistic_variants_disagree_by_coincidence_term(self):
         counts = np.array([3, 1, 2, 4])
@@ -285,14 +311,6 @@ class TestBlockRotation:
             want = _gate_by_gate(state, us).amplitudes
             got = rotate_state(state, us).amplitudes
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
-    def test_every_block_size_matches_gate_by_gate(self, block):
-        rng = np.random.default_rng(block)
-        state = QuantumState(12, random_state_vector(12, rng))
-        us = [sample_haar_unitary(rng) for _ in range(12)]
-        got = randmeas._rotate_in_blocks(state, us, block).amplitudes
-        np.testing.assert_allclose(got, _gate_by_gate(state, us).amplitudes, rtol=0, atol=1e-14)
 
     def test_checks_count_and_each_unitary(self, no_gate_loop):
         rng = np.random.default_rng(5)
