@@ -259,7 +259,7 @@ def _measure(dist, num_shots, p_tot, readout_flip, rng) -> np.ndarray:
     return sample_shots(dist, num_shots, rng)
 
 
-def _random_round(state, num_shots, rng, p_tot=0.0, readout_flip=0.0):
+def _random_round(state, num_shots, rng, p_tot=0.0, readout_flip=0.0) -> tuple[np.ndarray, tuple]:
     """One round, a Haar unitary per qubit then ``_measure``: (count vector, unitaries)."""
     unitaries = tuple(sample_haar_unitary(rng) for _ in range(state.num_qubits))
     dist = probabilities(rotate_state(state, unitaries))
