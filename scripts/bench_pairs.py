@@ -2,6 +2,7 @@
 """Compare two source checkouts in alternating pairs; write one BENCH JSON file.
 
 Usage: python scripts/bench_pairs.py BEFORE AFTER --out BENCH_<n>.json
+       python scripts/bench_pairs.py --reread BENCH_<n>.json
 
 BEFORE and AFTER are checkouts with ``src/``, ``scripts/`` and ``benchmark/``. Every
 measurement runs once per checkout in each pair, BEFORE first in even
@@ -10,10 +11,8 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
 ``run_seconds`` of AFTER's BENCHMARK.json. The file holds:
   end_to_end  per workload and seed (``PAIRS`` pairs at each of ``SEEDS``),
               the end-to-end metrics of each checkout's own
-              ``benchmark/run.py --trace 0`` in every pair, their medians
-              and quartiles, and the number of pairs in which AFTER was
-              strictly better (the direction of each metric is read from
-              AFTER's BENCHMARK.json);
+              ``benchmark/run.py --trace 0`` in every pair, and their
+              medians and quartiles;
   stages      each checkout's own ``scripts/bench_stages.py`` with its
               ``src`` on the Python path (the script calls private names,
               which a change may alter), in 3 pairs: per run and medians,
@@ -29,7 +28,12 @@ falls on both sides alike. Each ``benchmark/run.py`` runs for the
               each. A run that holds one state at a time peaks alike at both.
               A child's ``ru_maxrss`` starts at the high-water mark of the
               process that spawned it, so this script must stay smaller than
-              the run it measures (about 60 MB), as it does.
+              the run it measures (about 60 MB), as it does;
+  verdicts    per workload, seed and end-to-end metric, the per-pair ratios
+              after/before, their median with a fixed-seed bootstrap 95%
+              interval, AFTER's wins, BEFORE's q3 - q1 and a verdict
+              (``verdicts``). ``--reread`` prints these for an existing
+              file, against this checkout's BENCHMARK.json, and runs nothing.
 """
 import argparse
 import json
@@ -44,12 +48,16 @@ import numpy as np
 
 from bench_stages import checkout_state
 
+ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 SEEDS = (777, 2718)
 SIDES = ("before", "after")
 SINGLE_THREAD_BLAS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 STAGE_PAIRS = 3
 THREAD_PAIRS = 5
+GAIN_WIN_SHARE = 0.9  # a gain wins at least 9 of 10 pairs
+BOOTSTRAP_DRAWS = 10000
+BOOTSTRAP_SEED = 16
 
 # times ``execute`` of the rm_l16_threads workload config; argv: checkout, seed, threads
 THREAD_CHILD = r"""
@@ -110,7 +118,7 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4)
 
 
-def end_to_end(dirs, workload, seed, seconds, better) -> dict:
+def end_to_end(dirs, workload, seed, seconds, metrics) -> dict:
     runs = []
     for pair in range(PAIRS):
         row = {"order": list(_ordered(pair))}
@@ -119,16 +127,71 @@ def end_to_end(dirs, workload, seed, seconds, better) -> dict:
             print(f"{workload} pair {pair} {side}: run_s {row[side]['run_s']:.3f}", flush=True)
         runs.append(row)
     quartiles = {
-        side: {m: _quartiles([r[side][m] for r in runs]) for m in better} for side in SIDES
+        side: {m: _quartiles([r[side][m] for r in runs]) for m in metrics} for side in SIDES
     }
-    wins = {
-        m: sum(
-            (r["after"][m] < r["before"][m]) if lower else (r["after"][m] > r["before"][m])
-            for r in runs
-        )
-        for m, lower in better.items()
+    return {"pairs": runs, "q1_median_q3": quartiles}
+
+
+def _verdict(pairs: list, name: str, lower: bool, bound: float) -> dict:
+    """One metric's paired comparison; see ``verdicts``."""
+    before = [r["before"][name] for r in pairs]
+    after = [r["after"][name] for r in pairs]
+    ratios = np.array(after) / np.array(before)
+    draws = np.random.default_rng(BOOTSTRAP_SEED).choice(ratios, (BOOTSTRAP_DRAWS, ratios.size))
+    interval = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
+    q1, median_before, q3 = _quartiles(before)
+    median_after = statistics.median(after)
+    gained = median_before - median_after if lower else median_after - median_before
+    all_beat = max(after) < min(before) if lower else min(after) > max(before)
+    if wins >= GAIN_WIN_SHARE * len(pairs) and gained > q3 - q1:
+        verdict = "gain"
+    elif -gained > bound * median_before:
+        verdict = "worse"
+    elif q3 - q1 > bound * median_before and not all_beat:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return {
+        "ratios": ratios.tolist(),
+        "median_ratio": float(np.median(ratios)),
+        "median_ratio_95": interval.tolist(),
+        "after_wins": wins,
+        "pairs": len(pairs),
+        "before_q3_minus_q1": q3 - q1,
+        "verdict": verdict,
     }
-    return {"pairs": runs, "q1_median_q3": quartiles, "after_wins": wins}
+
+
+def verdicts(bench: dict, spec: dict) -> dict:
+    """Per ``workload@seed`` and end-to-end metric of ``spec`` (a BENCHMARK.json),
+    the verdict on ``bench``'s pairs; ties count for neither side:
+      gain          AFTER wins at least 9 of 10 pairs and its median beats
+                    BEFORE's by more than BEFORE's q3 - q1, the rule a claimed
+                    gain must pass;
+      worse         AFTER's median is worse than BEFORE's by more than the bound;
+      unresolved    not worse, but BEFORE's q3 - q1 is wider than the bound
+                    and not every AFTER run beats every BEFORE run;
+      within bound  every other case.
+    """
+    return {
+        key: {
+            m["name"]: _verdict(entry["pairs"], m["name"], m["better"] == "lower", m["bound"])
+            for m in spec["end_to_end"]
+        }
+        for key, entry in bench["end_to_end"].items()
+    }
+
+
+def verdict_table(table: dict) -> str:
+    lines = [f"{'workload@seed':<26} {'metric':<12} {'ratio':>6} {'95% interval':>15} "
+             f"{'wins':>5}  verdict"]
+    for key, metrics in table.items():
+        for name, v in metrics.items():
+            lo, hi = v["median_ratio_95"]
+            lines.append(f"{key:<26} {name:<12} {v['median_ratio']:6.3f} {lo:7.3f}-{hi:<7.3f} "
+                         f"{v['after_wins']:>2}/{v['pairs']:<2}  {v['verdict']}")
+    return "\n".join(lines)
 
 
 def stages(dirs) -> dict:
@@ -187,13 +250,21 @@ def memory(dirs) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("before", type=Path)
-    parser.add_argument("after", type=Path)
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("before", type=Path, nargs="?")
+    parser.add_argument("after", type=Path, nargs="?")
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--reread", type=Path, metavar="BENCH",
+                        help="print the verdicts of an existing BENCH file and run nothing")
     args = parser.parse_args(argv)
+    if args.reread:
+        bench = json.loads(args.reread.read_text())
+        print(verdict_table(verdicts(bench, json.loads((ROOT / "BENCHMARK.json").read_text()))))
+        return 0
+    if args.before is None or args.after is None or args.out is None:
+        parser.error("BEFORE, AFTER and --out are needed unless --reread is given")
     dirs = {"before": args.before.resolve(), "after": args.after.resolve()}
     spec = json.loads((dirs["after"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    metrics = [m["name"] for m in spec["end_to_end"]]
     workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     result = {
@@ -206,7 +277,7 @@ def main(argv=None) -> int:
         },
         "settings": {"seeds": SEEDS, "seconds": seconds, "pairs": PAIRS},
         "end_to_end": {
-            f"{w}@seed{seed}": end_to_end(dirs, w, seed, seconds, better)
+            f"{w}@seed{seed}": end_to_end(dirs, w, seed, seconds, metrics)
             for seed in SEEDS
             for w in workloads
         },
@@ -218,6 +289,8 @@ def main(argv=None) -> int:
         "threads": threads(dirs, SEEDS[0]),
         "memory": memory(dirs),
     }
+    result["verdicts"] = verdicts(result, spec)
+    print(verdict_table(result["verdicts"]), flush=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

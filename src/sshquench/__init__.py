@@ -35,12 +35,10 @@ from .observables import (
     twist_order_parameter,
 )
 from .oracle import (
-    WannierState,
     closed_form_entropy,
     correlation_submatrix,
+    orbitals,
     renyi_from_correlation,
-    wannier_neel,
-    wannier_singlet,
 )
 from .randmeas import (
     PurityEstimate,

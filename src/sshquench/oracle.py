@@ -1,112 +1,84 @@
 """Exact free-fermion reference values for the flat-band quenches.
 
 The dimerized XX chain maps to free fermions with Bloch vector
-d_k = (2J + 2J' cos k, 2J' sin k, 0) and bands E = +-|d_k|. In the fully
-dimerized limit the bands are flat, |d_k| = 2, and the post-quench state is a
-product of single-particle Wannier states whose spread across unit cells
-fixes the entanglement of any cell-aligned bipartition. Subsystem correlation
-matrices built from the boundary-crossing Wannier states give the Renyi
-entropy through their eigenvalue spectrum, and collapse to closed-form
-entropy curves used as the oracle throughout the test suite.
+d_k = (2J + 2J' cos k, 2J' sin k, 0) and bands E = +-|d_k|. Both initial
+states are Slater determinants of N = L/2 particles (a particle sits where a
+qubit reads 0), so the quenched state is fixed by one L x N orbital matrix
+Phi(t) whose column m is the time-evolved particle of cell m
+(``orbitals``). A half-filling probability is |det Phi_S|^2 over the rows S
+of the occupied qubits, a block's correlation matrix is Phi_A Phi_A^dagger
+(Peschel, J. Phys. A 36, L205 (2003)), and the particle twist is Resta's
+det(Phi^dagger D Phi) (Resta, PRL 80, 1800 (1998)). In the fully dimerized
+limit the bands are flat, |d_k| = 2, and the entropy of any cell-aligned cut
+collapses to the closed-form curves used as the oracle throughout the test
+suite.
 
 Everything here is a pure function of its value arguments and serves only
 the quench the paper runs: the topological flat-band point (J, J') = (0, 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, log2, sin, sqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .circuits import evolution_links
 
 FLAT_BAND_VELOCITY = 2.0  # |d_k| at the flat-band point
 
 XI_CLAMP_ATOL = 1e-8  # tolerated eigenvalue excursion outside [0, 1]
 
-Site = tuple[str, int]  # (sublattice "A" | "B", cell index)
 
+def orbitals(initial: str, boundary: str, num_sites: int, t: float) -> np.ndarray:
+    """Complex (L, L/2) orbital matrix Phi(t); column m is the particle of cell m.
 
-@dataclass(frozen=True)
-class WannierState:
-    """Single-particle state localized around ``cell`` at time ``time``.
-
-    ``coefficients`` maps (sublattice, cell) to a complex amplitude; the map
-    is normalized to unit weight.
+    At t = 0 the Neel particle sits on qubit 2m + 1 and the singlet's is
+    (|2m> - |2m+1>)/sqrt(2). Each intercell link turns its two rows by
+    [[cos 2t, -i sin 2t], [-i sin 2t, cos 2t]]; on a ring the wrap link's
+    hopping crosses the Jordan-Wigner string of the other N - 1 particles
+    and carries the sign (-1)^(N-1).
     """
-
-    cell: int
-    time: float
-    coefficients: Mapping[Site, complex]
-
-    def __post_init__(self):
-        weight = sum(abs(c) ** 2 for c in self.coefficients.values())
-        if abs(weight - 1.0) > 1e-12:
-            raise ValueError(f"Wannier weight deviates from 1 by {abs(weight - 1.0):.2e}")
-
-    def weight(self, site: Site) -> float:
-        return abs(self.coefficients.get(site, 0.0)) ** 2
-
-    def overlap(self, other: "WannierState") -> complex:
-        sites = set(self.coefficients) & set(other.coefficients)
-        return sum(
-            np.conj(self.coefficients[s]) * other.coefficients[s] for s in sites
-        )
-
-
-def wannier_neel(cell: int, t: float) -> WannierState:
-    """Time-evolved Wannier state of the Neel quench: starts as a_cell."""
+    links = np.array(evolution_links(num_sites, boundary), dtype=int).reshape(-1, 2)
+    cells = np.arange(num_sites // 2)
+    phi = np.zeros((num_sites, cells.size), dtype=complex)
+    if initial == "neel":
+        phi[2 * cells + 1, cells] = 1.0
+    elif initial == "singlet":
+        phi[2 * cells, cells] = 1.0 / sqrt(2.0)
+        phi[2 * cells + 1, cells] = -1.0 / sqrt(2.0)
+    else:
+        raise ValueError(f"initial must be 'neel' or 'singlet', got {initial!r}")
+    hop = np.full((len(links), 1), -1j * sin(FLAT_BAND_VELOCITY * t))
+    if boundary == "pbc":
+        hop[-1] *= (-1) ** (cells.size - 1)
     c = cos(FLAT_BAND_VELOCITY * t)
-    s = sin(FLAT_BAND_VELOCITY * t)
-    return WannierState(cell, t, {("A", cell): complex(c), ("B", cell - 1): -1j * s})
-
-
-def wannier_singlet(cell: int, t: float) -> WannierState:
-    """Time-evolved Wannier state of the singlet quench: starts as (a - b)/sqrt(2).
-
-    The rotated weight moves to the two next-nearest cells, reaching them
-    completely when |d_k| t = pi/2.
-    """
-    c = cos(FLAT_BAND_VELOCITY * t) / sqrt(2.0)
-    s = sin(FLAT_BAND_VELOCITY * t) / sqrt(2.0)
-    coeffs = {
-        ("A", cell): complex(c),
-        ("B", cell): complex(-c),
-        ("A", cell + 1): 1j * s,
-        ("B", cell - 1): -1j * s,
-    }
-    return WannierState(cell, t, coeffs)
-
-
-def correlation_matrix_from_wanniers(
-    states: Sequence[WannierState], sites: Sequence[Site]
-) -> np.ndarray:
-    """C[i, j] = sum over occupied states of phi(site_i) conj(phi(site_j))."""
-    phi = np.array(
-        [[w.coefficients.get(s, 0.0) for s in sites] for w in states], dtype=complex
-    )
-    return phi.T @ phi.conj()
+    a, b = links.T
+    phi[a], phi[b] = c * phi[a] + hop * phi[b], hop * phi[a] + c * phi[b]
+    return phi
 
 
 def correlation_submatrix(initial: str, t: float) -> np.ndarray:
     """Correlation block of the subsystem sites adjacent to one cut.
 
-    The cut sits between two unit cells; only Wannier states crossing it
-    contribute (a state fully inside either side has eigenvalues {0, 1} and
-    adds nothing). The Neel quench yields a 1x1 block with eigenvalue
-    sin^2(2t); the singlet quench couples two crossing states through a 3x3
-    block with eigenvalues {0, (1 - cos 2t)/2, (1 + cos 2t)/2}.
+    The cut sits between two unit cells of an open chain; only orbitals
+    crossing it contribute (one fully inside either side has eigenvalues
+    {0, 1} and adds nothing). The Neel quench yields a 1x1 block with
+    eigenvalue sin^2(2t); the singlet quench couples two crossing orbitals
+    through a 3x3 block with eigenvalues {0, (1 - cos 2t)/2, (1 + cos 2t)/2}.
     """
     if initial == "neel":
-        # cut between cells 0 and 1; left side holds only b_0 of w(1)
-        return correlation_matrix_from_wanniers([wannier_neel(1, t)], [("B", 0)])
-    if initial == "singlet":
-        # cut between cells 1 and 2; w(1) and w(2) both cross it
-        states = [wannier_singlet(1, t), wannier_singlet(2, t)]
-        return correlation_matrix_from_wanniers(
-            states, [("B", 0), ("A", 1), ("B", 1)]
-        )
-    raise ValueError(f"initial must be 'neel' or 'singlet', got {initial!r}")
+        # cut between cells 0 and 1; of the orbitals crossing it, only orbital 0
+        # reaches the right side, on qubit 2
+        rows, cols = [2], [0]
+    elif initial == "singlet":
+        # cut between cells 1 and 2; orbitals 1 and 2 both cross it and reach
+        # qubits 1-3 on the left side
+        rows, cols = [1, 2, 3], [1, 2]
+    else:
+        raise ValueError(f"initial must be 'neel' or 'singlet', got {initial!r}")
+    block = orbitals(initial, "obc", 8, t)[np.ix_(rows, cols)]
+    return block @ block.conj().T
 
 
 def renyi_from_correlation(eigenvalues: Sequence[float]) -> float:
@@ -133,7 +105,7 @@ def closed_form_entropy(
     A periodic cut has two boundaries and doubles the open-chain value.
     ``num_cells`` is the cell count of each half; the shortest closed chain
     (one cell per half) is special for the singlet quench, whose two cuts
-    then cross the same pair of Wannier states and the curve collapses onto
+    then cross the same pair of orbitals and the curve collapses onto
     the Neel form.
     """
     if boundary not in ("pbc", "obc"):
@@ -145,7 +117,7 @@ def closed_form_entropy(
         per_boundary = -log2(1.0 - 0.5 * sin(2.0 * v * t) ** 2)
     else:
         per_boundary = -2.0 * log2(1.0 - 0.5 * sin(v * t) ** 2)
-    return per_boundary * (2.0 if boundary == "pbc" else 1.0)
+    return per_boundary * (2.0 if boundary == "pbc" else 1.0) + 0.0  # +0.0, never -0.0
 
 
 def entropy_period(initial: str) -> float:

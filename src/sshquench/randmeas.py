@@ -263,4 +263,4 @@ def renyi2(purity_value: float) -> float:
     """
     if not purity_value > 0.0:
         return float("nan")
-    return float(-np.log2(purity_value))
+    return float(-np.log2(purity_value)) + 0.0  # +0.0, never -0.0

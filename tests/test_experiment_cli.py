@@ -78,6 +78,9 @@ class TestRunOutputs:
         oracle = [float(r.split(",")[3]) for r in rows]
         assert oracle[0] == pytest.approx(0.0, abs=1e-12)
         assert oracle[2] == pytest.approx(2.0, abs=1e-12)
+        # a zero prints as 0, not -0
+        assert rows[0].split(",")[3] == "0"
+        assert "-0" not in (f for r in rows for f in r.split(","))
 
     def test_exact_probabilities_mode_matches_oracle(self, tmp_path):
         conf = _write_config(tmp_path, SMALL)

@@ -125,13 +125,16 @@ REPORTED = (
 GOLDEN = {
     # The manifests of noiseless_entropy and twist_berry_readout were
     # re-recorded once: the manifest writes floats with repr, so their zero
-    # noise rates read 0.0 where they read 0.
+    # noise rates read 0.0 where they read 0. The entropy.csv digests of
+    # noiseless_entropy, noisy_mitigated_entropy, writers_full and
+    # plugin_shifted_threads were re-recorded once: a zero entropy in the
+    # oracle or mitigated column reads 0 where it read -0.
     "noiseless_entropy": {
-        "entropy.csv": "78e1444427a164463078bc659f9718eed1392d2990811cd52e859f5eb27647b0",
+        "entropy.csv": "f90ae5f0c3cd49a894265fa69414f76f6ac92174fcc5a1e4e7946e9acb63cc60",
         "manifest.txt": "d628e069e9c62ca8ee8b606e2024dade8b6fbc8b572183c8ed6b3c5146798249",
     },
     "noisy_mitigated_entropy": {
-        "entropy.csv": "6ec84e7cdd97ee9fa3dc8b883fe2fb9864492f9905dc5fe9239b8bc8d94b931b",
+        "entropy.csv": "5e3f8e47794d82fdafa97bd4a5f6969847db66140f6927bb6fe7d0b2ebc70f6f",
         "manifest.txt": "de264610a479ca96b8b1dd68ed0e87bfeb570639f47301b69ef8f1f5db55f064",
     },
     # Recorded on states built from the fused link blocks. The gate-level
@@ -146,7 +149,7 @@ GOLDEN = {
     },
     "writers_full": {
         "berry.csv": "4c6dc3027e3a94b1a47b7d00bca619c10787a1fac6307c4de413e63a48ca0ee9",
-        "entropy.csv": "b212c3cc920c2019f261bfde39ef0f38eba88921a9ef8247d64ceec5fa17480c",
+        "entropy.csv": "1ea81efe78a88930780b717425555d4d5dd6e55599006a7bbd09a89169df4c8d",
         "twist.csv": "008dcb70eaff279f6ac9697054cc376d060fb2b23773391312596728503dab83",
         "manifest.txt": "1775bb160594253455c012182352cf8c419f4aeb825ea891d4f4ffb5811b2d41",
         "shots/entropy_t0000.txt": "03808093dcbae1a8613aa5d54bd2b6de96bbaf16f3dd5073899a3b1f833a57db",
@@ -169,7 +172,7 @@ GOLDEN = {
         "summary.txt": "22dc0ada20dfbbe406b89c8b4fd94255633a8489fbd3691dbe077ba4d10f26e9",
     },
     "plugin_shifted_threads": {
-        "entropy.csv": "0c75cde8bbc1c9bf35d8f215c8ba39ed7f5e9cc23c3b8e4a9e16882c122ef128",
+        "entropy.csv": "eef4928ff5ae1c8606147a717cd467e665f46aa4f11298e71ff593f270568155",
         "manifest.txt": "ac772712d98e4391dddf85751d23a2999fe46ac88f108241500913c6372e9275",
         "shots/entropy_t0000.txt": "ff191bd3f4c276f11384c8fe8f138731cab3ceebc8cc8ec255b5d2b627e7b0bc",
         "shots/entropy_t0001.txt": "416a7fb0630622fa9f0bec11b9596045ce9eed1b2f06893a4e5f76aa97bfbc77",

@@ -1,59 +1,171 @@
-"""Free-fermion oracle: Wannier states, correlation blocks, entropy."""
+"""Free-fermion oracle: orbitals, correlation blocks, entropy."""
+import itertools
+import math
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshquench.circuits import quench_circuit
+from sshquench.circuits import (
+    evolution_circuit,
+    prepare_neel,
+    prepare_singlet_product,
+    quench_circuit,
+)
+from sshquench.observables import exact_twist
 from sshquench.oracle import (
-    WannierState,
     closed_form_entropy,
-    correlation_matrix_from_wanniers,
     correlation_submatrix,
     entropy_period,
+    orbitals,
     renyi_from_correlation,
-    wannier_neel,
-    wannier_singlet,
 )
-from sshquench.state import purity
+from sshquench.randmeas import renyi2
+from sshquench.state import probabilities, purity
+
+CASES = [(i, b) for i in ("neel", "singlet") for b in ("pbc", "obc")]
+TIMES = (0.0, 0.3, 0.77, 1.2)
+PREPARE = {"neel": prepare_neel, "singlet": prepare_singlet_product}
+
+
+def _fused_state(initial, boundary, num_sites, t):
+    """The quenched state as the runner builds it: fused link blocks on the preparation."""
+    start = PREPARE[initial](num_sites).run()
+    return evolution_circuit(t, num_sites, boundary, fused=True).run(start)
+
+
+@lru_cache(maxsize=None)
+def _sectors(num_sites):
+    """Every half-filling set S of occupied qubits, and the basis index whose 0-bits are S."""
+    occupied = np.array(list(itertools.combinations(range(num_sites), num_sites // 2)))
+    index = ((1 << num_sites) - 1) ^ (1 << (num_sites - 1 - occupied)).sum(axis=1)
+    return occupied, index
+
+
+def _amplitude_errors(phi, state):
+    """max | |det Phi_S|^2 - P(S) | over the sector, and the weight outside it."""
+    occupied, index = _sectors(state.num_qubits)
+    probs = probabilities(state)
+    dets = np.abs(np.linalg.det(phi[occupied])) ** 2
+    return np.abs(dets - probs[index]).max(), 1.0 - probs[index].sum()
+
+
+def _entropy_from_rows(phi, rows):
+    block = phi[list(rows)]
+    return renyi_from_correlation(np.linalg.eigvalsh(block @ block.conj().T))
 
 
 class TestWannier:
+    """The columns of Phi(t) are the time-evolved Wannier states of the cells."""
+
     def test_neel_weights(self):
-        assert wannier_neel(3, 0.0).weight(("A", 3)) == pytest.approx(1.0)
-        w = wannier_neel(3, np.pi / 8)
-        assert w.weight(("A", 3)) == pytest.approx(0.5, abs=1e-12)
-        assert w.weight(("B", 2)) == pytest.approx(0.5, abs=1e-12)
-        assert wannier_neel(3, np.pi / 4).weight(("B", 2)) == pytest.approx(1.0)
+        # column 3 of the L = 8 ring crosses the wrap link (7, 0)
+        def weights(t):
+            return np.abs(orbitals("neel", "pbc", 8, t)[:, 3]) ** 2
+
+        assert weights(0.0)[7] == pytest.approx(1.0)
+        w = weights(np.pi / 8)
+        assert w[7] == pytest.approx(0.5, abs=1e-12)
+        assert w[0] == pytest.approx(0.5, abs=1e-12)
+        assert weights(np.pi / 4)[0] == pytest.approx(1.0)
 
     def test_singlet_weights(self):
-        w0 = wannier_singlet(2, 0.0)
-        assert w0.weight(("A", 2)) == pytest.approx(0.5)
-        assert w0.weight(("B", 2)) == pytest.approx(0.5)
-        w = wannier_singlet(2, np.pi / 4)
-        assert w.weight(("A", 3)) == pytest.approx(0.5, abs=1e-12)
-        assert w.weight(("B", 1)) == pytest.approx(0.5, abs=1e-12)
-        assert w.weight(("A", 2)) == pytest.approx(0.0, abs=1e-12)
+        def weights(t):
+            return np.abs(orbitals("singlet", "obc", 8, t)[:, 2]) ** 2
+
+        w0 = weights(0.0)
+        assert w0[4] == pytest.approx(0.5)
+        assert w0[5] == pytest.approx(0.5)
+        w = weights(np.pi / 4)
+        assert w[6] == pytest.approx(0.5, abs=1e-12)
+        assert w[3] == pytest.approx(0.5, abs=1e-12)
+        assert w[4] == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
-    @given(t=st.floats(0, 4, allow_nan=False), cell=st.integers(-3, 6))
-    def test_normalized_for_all_times(self, t, cell):
-        for build in (wannier_neel, wannier_singlet):
-            total = sum(abs(c) ** 2 for c in build(cell, t).coefficients.values())
-            assert total == pytest.approx(1.0, abs=1e-12)
+    @given(t=st.floats(0, 4, allow_nan=False), cells=st.integers(1, 8))
+    def test_normalized_for_all_times(self, t, cells):
+        for initial, boundary in CASES:
+            phi = orbitals(initial, boundary, 2 * cells, t)
+            np.testing.assert_allclose(phi.conj().T @ phi, np.eye(cells), atol=1e-12)
 
     def test_orthonormal_across_cells(self):
         t = 0.61
-        for build in (wannier_neel, wannier_singlet):
-            states = [build(m, t) for m in range(4)]
-            for i, a in enumerate(states):
-                for j, b in enumerate(states):
-                    want = 1.0 if i == j else 0.0
-                    assert abs(a.overlap(b)) == pytest.approx(want, abs=1e-12)
+        for num_sites in range(2, 17, 2):
+            for initial, boundary in CASES:
+                phi = orbitals(initial, boundary, num_sites, t)
+                assert phi.shape == (num_sites, num_sites // 2)
+                np.testing.assert_allclose(
+                    phi.conj().T @ phi, np.eye(num_sites // 2), atol=1e-12
+                )
 
-    def test_unnormalized_rejected(self):
+    def test_unknown_initial_rejected(self):
         with pytest.raises(ValueError):
-            WannierState(0, 0.0, {("A", 0): 0.5})
+            orbitals("ferro", "pbc", 4, 0.0)
+
+
+class TestOrbitalsAgainstDenseEngine:
+    @pytest.mark.parametrize("num_sites", range(4, 17, 2))
+    def test_sector_probabilities_are_determinants(self, num_sites):
+        for (initial, boundary), t in itertools.product(CASES, TIMES):
+            phi = orbitals(initial, boundary, num_sites, t)
+            state = _fused_state(initial, boundary, num_sites, t)
+            worst, outside = _amplitude_errors(phi, state)
+            assert worst <= 1e-12, (initial, boundary, t)
+            assert outside <= 1e-12, (initial, boundary, t)
+
+    @pytest.mark.parametrize("num_sites", [4, 8])
+    def test_wrap_sign_decides_the_ring_amplitudes(self, num_sites):
+        """The open chain plus the wrap link turned with the other sign misses;
+        beyond L = 8 the miss falls below 1e-10 (5.3e-11 at L = 12)."""
+        t = 0.77
+        state = _fused_state("singlet", "pbc", num_sites, t)
+        assert _amplitude_errors(orbitals("singlet", "pbc", num_sites, t), state)[0] <= 1e-12
+        c, s = math.cos(2 * t), math.sin(2 * t)
+        hop = 1j * s * (-1) ** (num_sites // 2 - 1)  # the opposite of the right sign
+        flipped = orbitals("singlet", "obc", num_sites, t)
+        wrap = [num_sites - 1, 0]
+        flipped[wrap] = np.array([[c, hop], [hop, c]]) @ flipped[wrap]
+        assert _amplitude_errors(flipped, state)[0] > 1e-8
+
+    @pytest.mark.parametrize("num_sites", range(4, 13, 2))
+    def test_every_ring_contiguous_block(self, num_sites):
+        for (initial, boundary), t in itertools.product(CASES, TIMES):
+            phi = orbitals(initial, boundary, num_sites, t)
+            state = _fused_state(initial, boundary, num_sites, t)
+            for size in range(1, num_sites):
+                for first in range(num_sites):
+                    block = [(first + k) % num_sites for k in range(size)]
+                    got = _entropy_from_rows(phi, block)
+                    want = renyi2(purity(state, block))
+                    assert got == pytest.approx(want, abs=1e-12), (initial, boundary, t, block)
+
+    @pytest.mark.parametrize("num_sites", range(4, 17, 2))
+    def test_twists_are_resta_determinants(self, num_sites):
+        sites = np.arange(1, num_sites + 1)
+        for (initial, boundary), t in itertools.product(CASES, TIMES):
+            phi = orbitals(initial, boundary, num_sites, t)
+            state = _fused_state(initial, boundary, num_sites, t)
+            resta = {
+                q: np.linalg.det(
+                    phi.conj().T @ (np.exp(2j * np.pi * q * sites / num_sites)[:, None] * phi)
+                )
+                for q in (1, 2)
+            }
+            for q in (1, 2):
+                got = exact_twist(state, q, "particle").z
+                assert abs(got - resta[q]) <= 1e-12, (initial, boundary, t, q)
+            spin = np.exp(-0.5j * np.pi * (num_sites + 1)) * resta[1]
+            assert abs(exact_twist(state, 1, "spin").z - spin) <= 1e-12
+
+    @pytest.mark.parametrize("num_sites", [4, 8, 12, 16, 32, 64])
+    def test_half_chain_closed_form_beyond_the_dense_engine(self, num_sites):
+        for (initial, boundary), t in itertools.product(CASES, np.linspace(0, 1.5, 16)):
+            phi = orbitals(initial, boundary, num_sites, t)
+            got = _entropy_from_rows(phi, range(num_sites // 2))
+            want = closed_form_entropy(initial, t, boundary, num_cells=num_sites // 4)
+            assert got == pytest.approx(want, abs=1e-10), (initial, boundary, t)
 
 
 class TestCorrelationBlocks:
@@ -65,8 +177,8 @@ class TestCorrelationBlocks:
 
     def test_interior_wannier_contributes_nothing(self):
         t = 0.44
-        w = wannier_neel(1, t)
-        full = correlation_matrix_from_wanniers([w], [("B", 0), ("A", 1)])
+        column = orbitals("neel", "obc", 8, t)[np.ix_([2, 1], [0])]
+        full = column @ column.conj().T
         c, s = np.cos(2 * t), np.sin(2 * t)
         want = np.array(
             [[s * s, -1j * s * c], [1j * s * c, c * c]]
@@ -163,6 +275,13 @@ class TestClosedForms:
             assert singlet == pytest.approx(
                 closed_form_entropy("singlet", t, "obc"), abs=1e-10
             )
+
+    @pytest.mark.parametrize("initial", ["neel", "singlet"])
+    @pytest.mark.parametrize("boundary", ["pbc", "obc"])
+    def test_zero_is_positive_zero(self, initial, boundary):
+        for num_cells in (None, 1, 2):
+            value = closed_form_entropy(initial, 0.0, boundary, num_cells=num_cells)
+            assert math.copysign(1.0, value) == 1.0
 
     def test_periods(self):
         assert entropy_period("neel") == pytest.approx(np.pi / 4)

@@ -1,4 +1,6 @@
 """Haar sampling, shot collection, and the purity estimator."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,7 @@ class TestPurityEstimation:
 class TestRenyi2:
     def test_reference_points(self):
         assert renyi2(1.0) == 0.0
+        assert math.copysign(1.0, renyi2(1.0)) == 1.0  # +0.0, which prints as 0
         assert renyi2(0.25) == pytest.approx(2.0)
         assert renyi2(1.0 / 16.0) == pytest.approx(4.0)
 
