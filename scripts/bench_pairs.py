@@ -5,35 +5,38 @@ Usage: python scripts/bench_pairs.py BEFORE AFTER --out BENCH_<n>.json
        python scripts/bench_pairs.py --reread BENCH_<n>.json
 
 BEFORE and AFTER are checkouts with ``src/``, ``scripts/`` and ``benchmark/``. Every
-measurement runs once per checkout in each pair, BEFORE first in even
-pairs and AFTER first in odd ones, so that a drift of the machine's speed
-falls on both sides alike. Each ``benchmark/run.py`` runs for the
-``run_seconds`` of AFTER's BENCHMARK.json. The file holds:
-  end_to_end  per workload and seed (``PAIRS`` pairs at each of ``SEEDS``),
-              the end-to-end metrics of each checkout's own
+measured section compares two sides in ``PAIRS`` alternating pairs
+(``alternate``): the first side first in even pairs and the second first in
+odd ones, so that a drift of the machine's speed falls on both alike. Each
+``benchmark/run.py`` runs for the ``run_seconds`` of AFTER's BENCHMARK.json.
+The file holds:
+  end_to_end  per workload and seed (at each of ``SEEDS``), BEFORE against
+              AFTER: the end-to-end metrics of each checkout's own
               ``benchmark/run.py --trace 0`` in every pair, and their
               medians and quartiles;
-  stages      each checkout's own ``scripts/bench_stages.py`` with its
+  stages      BEFORE against AFTER: every stage's ``median_s`` from each
+              checkout's own ``scripts/bench_stages.py``, run with its
               ``src`` on the Python path (the script calls private names,
-              which a change may alter), in 3 pairs: per run and medians,
-              and the medians of the rotation forms, read per side;
+              which a change may alter), in every pair;
   traced      one ``run.py --trace 1`` of every workload per checkout, at
               the first seed: its per-layer metrics;
-  threads     per checkout, ``execute`` of the ``rm_l16_threads`` config at
-              the first seed, timed in a fresh interpreter at threads 1 and
-              2 in 5 pairs;
-  memory      per checkout, the peak RSS (``ru_maxrss``, in MB) of a fresh
-              interpreter that runs ``execute`` of an exact-mode L = 18 Neel
-              twist and Berry config, at 2 and at 16 time points, 3 times
-              each. A run that holds one state at a time peaks alike at both.
-              A child's ``ru_maxrss`` starts at the high-water mark of the
-              process that spawned it, so this script must stay smaller than
-              the run it measures (about 60 MB), as it does;
-  verdicts    per workload, seed and end-to-end metric, the per-pair ratios
-              after/before, their median with a fixed-seed bootstrap 95%
-              interval, AFTER's wins, BEFORE's q3 - q1 and a verdict
-              (``verdicts``). ``--reread`` prints these for an existing
-              file, against this checkout's BENCHMARK.json, and runs nothing.
+  threads     per checkout, 1 against 2 threads: ``execute`` of the
+              ``rm_l16_threads`` config at the first seed, timed in a fresh
+              interpreter, in every pair, and the pairs that 2 threads won;
+  memory      per checkout, 2 against 16 time points: the peak RSS
+              (``ru_maxrss``, in MB) of a fresh interpreter that runs
+              ``execute`` of an exact-mode L = 18 Neel twist and Berry
+              config, in every pair, and the median of each. A run that
+              holds one state at a time peaks alike at both. A child's
+              ``ru_maxrss`` starts at the high-water mark of the process
+              that spawned it, so this script must stay smaller than the run
+              it measures (about 60 MB), as it does;
+  verdicts    per workload, seed and end-to-end metric, and per stage that
+              both checkouts print, the per-pair ratios after/before, their
+              median with a fixed-seed bootstrap 95% interval, AFTER's wins,
+              BEFORE's q3 - q1 and a verdict (``verdicts``). ``--reread``
+              prints these for an existing file, against this checkout's
+              BENCHMARK.json, and runs nothing.
 """
 import argparse
 import json
@@ -53,27 +56,24 @@ PAIRS = 10
 SEEDS = (777, 2718)
 SIDES = ("before", "after")
 SINGLE_THREAD_BLAS = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-STAGE_PAIRS = 3
-THREAD_PAIRS = 5
 GAIN_WIN_SHARE = 0.9  # a gain wins at least 9 of 10 pairs
 BOOTSTRAP_DRAWS = 10000
 BOOTSTRAP_SEED = 16
 
-# times ``execute`` of the rm_l16_threads workload config; argv: checkout, seed, threads
+# times ``execute`` of the rm_l16_threads workload config, run in a checkout; argv: seed, threads
 THREAD_CHILD = r"""
 import sys, tempfile, time
-sys.path.insert(0, sys.argv[1] + "/benchmark")
+sys.path.insert(0, "benchmark")
 from run import WORKLOADS
 from sshquench.config import parse_config_text
 from sshquench.experiment import execute
-text = WORKLOADS["rm_l16_threads"].config_text(int(sys.argv[2]))
-config = parse_config_text(f"{text}\nthreads = {sys.argv[3]}\n")
+text = WORKLOADS["rm_l16_threads"].config_text(int(sys.argv[1]))
+config = parse_config_text(f"{text}\nthreads = {sys.argv[2]}\n")
 with tempfile.TemporaryDirectory() as out:
     start = time.perf_counter()
     execute(config, out, quiet=True)
     print(time.perf_counter() - start)
 """
-
 
 # peak RSS in MB of an exact-mode L = 18 twist ``execute``; argv: t_points
 MEMORY_CHILD = r"""
@@ -87,26 +87,39 @@ with tempfile.TemporaryDirectory() as out:
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 MEMORY_POINTS = ("2", "16")
-MEMORY_REPEATS = 3
 
 
-def _ordered(pair: int) -> tuple[str, str]:
-    return SIDES if pair % 2 == 0 else SIDES[::-1]
+def alternate(first: str, second: str, measure) -> list[dict]:
+    """``PAIRS`` rows ``{"order": [...], first: measure(first), second:
+    measure(second)}``, ``first`` measured first in even pairs and ``second``
+    first in odd ones."""
+    rows = []
+    for pair in range(PAIRS):
+        order = (first, second) if pair % 2 == 0 else (second, first)
+        rows.append({"order": list(order), **{label: measure(label) for label in order}})
+    return rows
 
 
-def _last_line(argv, cwd: Path, env=None) -> str:
-    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1]
+def _stdout(argv, cwd=None, env=None) -> str:
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 def _with_src(checkout: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(checkout / "src"), **SINGLE_THREAD_BLAS)
 
 
+def _child(checkout: Path, code: str, *args: str) -> float:
+    """The number that a fresh interpreter running ``code`` with ``checkout``'s
+    ``src`` prints last."""
+    argv = [sys.executable, "-c", code, *args]
+    return float(_stdout(argv, checkout, _with_src(checkout)).splitlines()[-1])
+
+
 def _run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     argv = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    result = json.loads(_last_line(argv, checkout))
+    result = json.loads(_stdout(argv, checkout).splitlines()[-1])
     values = {m: v["value"] for m, v in result["metrics"].items()}
     return {**values, "correct": result["correct"], "failed": result["failed"]}
 
@@ -119,13 +132,12 @@ def _quartiles(values: list) -> list:
 
 
 def end_to_end(dirs, workload, seed, seconds, metrics) -> dict:
-    runs = []
-    for pair in range(PAIRS):
-        row = {"order": list(_ordered(pair))}
-        for side in _ordered(pair):
-            row[side] = _run_bench(dirs[side], workload, seed, seconds, trace=0)
-            print(f"{workload} pair {pair} {side}: run_s {row[side]['run_s']:.3f}", flush=True)
-        runs.append(row)
+    def measure(side):
+        values = _run_bench(dirs[side], workload, seed, seconds, trace=0)
+        print(f"{workload}@seed{seed} {side}: run_s {values['run_s']:.3f}", flush=True)
+        return values
+
+    runs = alternate(*SIDES, measure)
     quartiles = {
         side: {m: _quartiles([r[side][m] for r in runs]) for m in metrics} for side in SIDES
     }
@@ -164,86 +176,75 @@ def _verdict(pairs: list, name: str, lower: bool, bound: float) -> dict:
 
 
 def verdicts(bench: dict, spec: dict) -> dict:
-    """Per ``workload@seed`` and end-to-end metric of ``spec`` (a BENCHMARK.json),
-    the verdict on ``bench``'s pairs; ties count for neither side:
+    """The verdict on ``bench``'s pairs per ``workload@seed`` and end-to-end
+    metric of ``spec`` (a BENCHMARK.json), under ``end_to_end``, and per stage
+    that both sides print, under ``stages`` against the ``run_s`` bound (files
+    older than the stage pairs have none); ties count for neither side:
       gain          AFTER wins at least 9 of 10 pairs and its median beats
-                    BEFORE's by more than BEFORE's q3 - q1, the rule a claimed
-                    gain must pass;
+                    BEFORE's by more than BEFORE's q3 - q1. This is exactly
+                    the rule a claimed gain must pass, and it has no minimum
+                    effect size: a metric whose runs barely spread reads
+                    ``gain`` on a tiny move (``rm_l8_mitigated`` ``peak_rss_mb``
+                    in BENCH_25.json, at a ratio of 0.999);
       worse         AFTER's median is worse than BEFORE's by more than the bound;
       unresolved    not worse, but BEFORE's q3 - q1 is wider than the bound
                     and not every AFTER run beats every BEFORE run;
       within bound  every other case.
     """
-    return {
-        key: {
-            m["name"]: _verdict(entry["pairs"], m["name"], m["better"] == "lower", m["bound"])
-            for m in spec["end_to_end"]
-        }
+    table = {"end_to_end": {
+        key: {m["name"]: _verdict(entry["pairs"], m["name"], m["better"] == "lower", m["bound"])
+              for m in spec["end_to_end"]}
         for key, entry in bench["end_to_end"].items()
-    }
+    }}
+    pairs = bench.get("stages", {}).get("pairs")
+    if pairs:
+        bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == "run_s")
+        both = [name for name in pairs[0]["before"] if name in pairs[0]["after"]]
+        table["stages"] = {name: {"median_s": _verdict(pairs, name, True, bound)}
+                           for name in both}
+    return table
 
 
 def verdict_table(table: dict) -> str:
-    lines = [f"{'workload@seed':<26} {'metric':<12} {'ratio':>6} {'95% interval':>15} "
-             f"{'wins':>5}  verdict"]
-    for key, metrics in table.items():
-        for name, v in metrics.items():
-            lo, hi = v["median_ratio_95"]
-            lines.append(f"{key:<26} {name:<12} {v['median_ratio']:6.3f} {lo:7.3f}-{hi:<7.3f} "
-                         f"{v['after_wins']:>2}/{v['pairs']:<2}  {v['verdict']}")
+    lines = []
+    for section, head in (("end_to_end", "workload@seed"), ("stages", "stage")):
+        if section not in table:
+            continue
+        lines.append(f"{head:<26} {'metric':<12} {'ratio':>6} {'95% interval':>15} "
+                     f"{'wins':>5}  verdict")
+        for key, metrics in table[section].items():
+            for name, v in metrics.items():
+                lo, hi = v["median_ratio_95"]
+                lines.append(f"{key:<26} {name:<12} {v['median_ratio']:6.3f} "
+                             f"{lo:7.3f}-{hi:<7.3f} {v['after_wins']:>2}/{v['pairs']:<2}  "
+                             f"{v['verdict']}")
     return "\n".join(lines)
 
 
 def stages(dirs) -> dict:
-    runs = {side: [] for side in SIDES}
-    for pair in range(STAGE_PAIRS):
-        for side in _ordered(pair):
-            argv = [sys.executable, str(dirs[side] / "scripts" / "bench_stages.py")]
-            proc = subprocess.run(argv, env=_with_src(dirs[side]), capture_output=True,
-                                  text=True, check=True)
-            runs[side].append(json.loads(proc.stdout))
-    medians = {
-        side: {
-            name: statistics.median(r["stages"][name]["median_s"] for r in runs[side])
-            for name in runs[side][0]["stages"]
-        }
-        for side in SIDES
-    }
-    rotate = {
-        side: {
-            size: {form: statistics.median(r["rotate"][size][form] for r in runs[side])
-                   for form in forms}
-            for size, forms in runs[side][0]["rotate"].items()
-        }
-        for side in SIDES
-    }
-    return {"runs": runs, "median_s": medians, "rotate_median_s": rotate}
+    def measure(side):
+        argv = [sys.executable, str(dirs[side] / "scripts" / "bench_stages.py")]
+        printed = json.loads(_stdout(argv, env=_with_src(dirs[side])))["stages"]
+        return {name: stage["median_s"] for name, stage in printed.items()}
+
+    return {"pairs": alternate(*SIDES, measure)}
 
 
 def threads(dirs, seed: int) -> dict:
     out = {}
     for side in SIDES:
-        times = {"1": [], "2": []}
-        for pair in range(THREAD_PAIRS):
-            for n in ("1", "2") if pair % 2 == 0 else ("2", "1"):
-                argv = [sys.executable, "-c", THREAD_CHILD, str(dirs[side]), str(seed), n]
-                times[n].append(float(_last_line(argv, dirs[side], _with_src(dirs[side]))))
-        wins = sum(two < one for one, two in zip(times["1"], times["2"]))
-        out[side] = {"execute_s": times, "threads2_wins": wins, "pairs": THREAD_PAIRS}
-        print(f"threads {side}: {times}", flush=True)
+        rows = alternate("1", "2", lambda n: _child(dirs[side], THREAD_CHILD, str(seed), n))
+        out[side] = {"execute_s": rows, "threads2_wins": sum(r["2"] < r["1"] for r in rows)}
+        print(f"threads {side}: 2 threads won {out[side]['threads2_wins']}/{PAIRS}", flush=True)
     return out
 
 
 def memory(dirs) -> dict:
     out = {}
     for side in SIDES:
-        peaks = {n: [] for n in MEMORY_POINTS}
-        for _ in range(MEMORY_REPEATS):
-            for n in MEMORY_POINTS:
-                argv = [sys.executable, "-c", MEMORY_CHILD, n]
-                peaks[n].append(float(_last_line(argv, dirs[side], _with_src(dirs[side]))))
-        medians = {n: statistics.median(v) for n, v in peaks.items()}
-        out[side] = {"peak_rss_mb": peaks, "median_mb": medians}
+        rows = alternate(*MEMORY_POINTS, lambda n: _child(dirs[side], MEMORY_CHILD, n))
+        medians = {n: statistics.median(r[n] for r in rows) for n in MEMORY_POINTS}
+        out[side] = {"peak_rss_mb": rows, "median_mb": medians}
         print(f"memory {side}: {medians}", flush=True)
     return out
 

@@ -3,7 +3,15 @@
 
 Usage: PYTHONPATH=<checkout>/src python scripts/bench_stages.py [--repeats N]
 
-Stages:
+Stages, in the order they run:
+  rotate_state_l{8,10,12,14,16}
+                        one rotation round, a fixed Haar unitary per qubit,
+                        as ``rotate_state`` does it;
+  blocks_l{8,10,12,14,16}
+                        the same round in the cycled-block form, blocks of
+                        4 qubits, the last one shorter where 4 does not
+                        divide L. The chain length from which
+                        ``rotate_state`` rotates in blocks comes from these;
   sample_haar_unitary   one Haar draw;
   gate1q_construct      one ``Gate1Q`` of a Haar unitary, unitarity check
                         included;
@@ -23,11 +31,6 @@ Stages:
   exact_twist_l16       one ``exact_twist`` of that state;
   flip_outcomes_l16     one ``flip_outcomes`` at f = 0.02 of 65536 shots
                         sampled from that state, as that workload flips them.
-Section ``rotate`` times one rotation round, a fixed Haar unitary per
-qubit, at L = 8, 10, 12, 14 and 16: ``rotate_state_s`` as the package
-does it, and ``blocks_s`` for the cycled-block form with blocks of 4
-qubits, the last block shorter where 4 does not divide L. The chain
-length from which ``rotate_state`` rotates in blocks comes from these.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
@@ -85,9 +88,18 @@ def _stages():
     from sshquench.experiment import _random_round
     from sshquench.noise import flip_outcomes
     from sshquench.observables import exact_twist
-    from sshquench.randmeas import purity_statistic, sample_haar_unitary
+    from sshquench.randmeas import _rotate_in_blocks, purity_statistic, rotate_state
+    from sshquench.randmeas import sample_haar_unitary
     from sshquench.state import Gate1Q, probabilities, sample_outcomes
 
+    # the rotations run first: a stage's time depends on what ran before it in
+    # the process (``kernel_n16`` read about 1.4x slower with them run last)
+    rotation_rng = np.random.default_rng(13)
+    for num_sites, calls in ROTATE_CALLS.items():
+        ring = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
+        us = [sample_haar_unitary(rotation_rng) for _ in range(num_sites)]
+        yield f"rotate_state_l{num_sites}", calls, lambda s=ring, us=us: rotate_state(s, us)
+        yield f"blocks_l{num_sites}", calls, lambda s=ring, us=us: _rotate_in_blocks(s, us)
     rng = np.random.default_rng(11)
     yield "sample_haar_unitary", 2000, lambda: sample_haar_unitary(rng)
     u = sample_haar_unitary(rng)
@@ -111,19 +123,6 @@ def _stages():
     yield "exact_twist_l16", 50, lambda: exact_twist(state, q=1, kind="spin")
     outcomes = sample_outcomes(probabilities(state), TWIST_SHOTS, rng)
     yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
-
-
-def _rotations():
-    """(chain length, form, calls per block, one call) of section ``rotate``."""
-    from sshquench import quench_circuit
-    from sshquench.randmeas import _rotate_in_blocks, rotate_state, sample_haar_unitary
-
-    rng = np.random.default_rng(13)
-    for num_sites, calls in ROTATE_CALLS.items():
-        state = quench_circuit(0.3, num_sites, "singlet", "pbc").run()
-        us = [sample_haar_unitary(rng) for _ in range(num_sites)]
-        yield num_sites, "rotate_state", calls, lambda s=state, us=us: rotate_state(s, us)
-        yield num_sites, "blocks", calls, lambda s=state, us=us: _rotate_in_blocks(s, us)
 
 
 def _time(call, calls: int, repeats: int) -> dict:
@@ -150,15 +149,10 @@ def provenance() -> dict:
 
 
 def measure(repeats: int) -> dict:
-    rotate = {}
-    for num_sites, form, calls, call in _rotations():
-        row = rotate.setdefault(f"l{num_sites}", {})
-        row[f"{form}_s"] = _time(call, calls, repeats)["median_s"]
     return {
         "provenance": provenance(),
         "repeats": repeats,
         "stages": {name: _time(call, calls, repeats) for name, calls, call in _stages()},
-        "rotate": rotate,
     }
 
 

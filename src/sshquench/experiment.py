@@ -300,10 +300,11 @@ def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
     Each of ``points`` is a time point's own result, then its rounds' results.
     """
     if config.exact_probabilities:
-        return [
+        rows = [
             (t, exact, float("nan"), oracle, 0.0, ("exact_mode", "no_mitigation"))
             for t, [((exact, oracle), _twist)] in zip(config.times, points)
         ]
+        return _shifted(config, rows, mitigated=False)
 
     mitigate_on = config.mitigation_enabled()
     rows: list[tuple] = []
@@ -342,18 +343,22 @@ def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
                 f"t={t: .6f}  S_unbiased={renyi2(unbiased.value): .4f}  "
                 f"S_plugin={renyi2(plugin.value): .4f}  oracle={oracle: .4f}"
             )
+    return _shifted(config, rows, mitigate_on)
 
-    if config.shift_mode != "none":
-        # the mitigated column holds the shifted mitigated series, or the
-        # shifted raw series when mitigation is off; a series with no finite
-        # value has nothing to align and stays nan
-        base = np.array([row[2] if mitigate_on else row[1] for row in rows])
-        aligned = shift_align(base, config.shift_mode)[0] if np.isfinite(base).any() else base
-        rows = [
-            (t, raw, float(v), oracle, sigma, flags + ("shifted",))
-            for (t, raw, _m, oracle, sigma, flags), v in zip(rows, aligned)
-        ]
-    return rows
+
+def _shifted(config, rows: list[tuple], mitigated: bool) -> list[tuple]:
+    """``rows`` with the mitigated column holding the shifted mitigated series,
+    or the shifted raw series when ``mitigated`` is false (mitigation off, or
+    exact mode); unchanged when ``shift_mode`` is ``none``. A series with no
+    finite value has nothing to align and stays nan."""
+    if config.shift_mode == "none":
+        return rows
+    base = np.array([row[2] if mitigated else row[1] for row in rows])
+    aligned = shift_align(base, config.shift_mode)[0] if np.isfinite(base).any() else base
+    return [
+        (t, raw, float(v), oracle, sigma, flags + ("shifted",))
+        for (t, raw, _m, oracle, sigma, flags), v in zip(rows, aligned)
+    ]
 
 
 def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):

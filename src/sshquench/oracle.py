@@ -91,7 +91,7 @@ def renyi_from_correlation(eigenvalues: Sequence[float]) -> float:
     if np.any(xs < -XI_CLAMP_ATOL) or np.any(xs > 1.0 + XI_CLAMP_ATOL):
         raise ValueError("correlation eigenvalues outside [0, 1] beyond tolerance")
     xs = np.clip(xs, 0.0, 1.0)
-    return float(-np.sum(np.log2((1.0 - xs) ** 2 + xs**2)))
+    return float(-np.sum(np.log2((1.0 - xs) ** 2 + xs**2))) + 0.0  # +0.0, never -0.0
 
 
 def closed_form_entropy(

@@ -1,4 +1,6 @@
-"""Verdicts of ``scripts/bench_pairs.py`` on synthetic pairs; no time is asserted."""
+"""The pair loop and the verdicts of ``scripts/bench_pairs.py`` on synthetic
+pairs and on the committed BENCH files; no subprocess starts and no time is
+asserted."""
 import json
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import bench_pairs  # noqa: E402
+
+BENCH_FILES = sorted(bench_pairs.ROOT.glob("BENCH_*.json"))
 
 SPEC = {
     "end_to_end": [
@@ -37,7 +41,7 @@ def _bench(before, after):
 
 
 def _verdicts(before, after):
-    table = bench_pairs.verdicts(_bench(before, after), SPEC)["w@seed1"]
+    table = bench_pairs.verdicts(_bench(before, after), SPEC)["end_to_end"]["w@seed1"]
     return {name: v["verdict"] for name, v in table.items()}, table
 
 
@@ -75,6 +79,38 @@ def test_ties_count_for_neither_side():
     assert table["run_s"]["verdict"] == "within bound"
 
 
+def _stage_verdicts(before, after, only_after=()):
+    """Stage verdicts of one stage ``s`` on synthetic per-pair medians, with
+    the stages ``only_after`` printed by AFTER alone."""
+    pairs = [{"before": {"s": b}, "after": {"s": a, **dict.fromkeys(only_after, a)}}
+             for b, a in zip(before, after)]
+    bench = {**_bench(STEADY, STEADY), "stages": {"pairs": pairs}}
+    return {name: v["median_s"]["verdict"]
+            for name, v in bench_pairs.verdicts(bench, SPEC)["stages"].items()}
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls = []
+    rows = bench_pairs.alternate("x", "y", lambda label: calls.append(label) or len(calls))
+    assert len(rows) == bench_pairs.PAIRS
+    assert calls == ["x", "y", "y", "x"] * (bench_pairs.PAIRS // 2)
+    assert [r["order"] for r in rows[:2]] == [["x", "y"], ["y", "x"]]
+    # every row holds both labels' measurements, in the order they ran
+    assert rows[1] == {"order": ["y", "x"], "y": 3, "x": 4}
+
+
+def test_a_thirty_percent_stage_speed_up_is_a_gain():
+    assert _stage_verdicts(STEADY, [0.7 * b for b in STEADY]) == {"s": "gain"}
+
+
+def test_a_thirty_percent_stage_slowdown_is_worse():
+    assert _stage_verdicts(STEADY, [1.3 * b for b in STEADY]) == {"s": "worse"}
+
+
+def test_a_stage_printed_by_one_side_only_gets_no_verdict():
+    assert _stage_verdicts(STEADY, STEADY, only_after=("new_stage",)) == {"s": "within bound"}
+
+
 def test_reread_prints_the_table_and_runs_nothing(tmp_path, capsys):
     path = tmp_path / "BENCH_0.json"
     path.write_text(json.dumps(_bench(STEADY, [1.3 * b for b in STEADY])))
@@ -86,3 +122,27 @@ def test_reread_prints_the_table_and_runs_nothing(tmp_path, capsys):
     assert len(lines) == 1 + len(spec["end_to_end"])
     assert lines[1].split()[:2] == ["w@seed1", "run_s"]
     assert lines[1].endswith("worse")
+
+
+def test_reread_prints_stage_rows_after_the_end_to_end_rows(tmp_path, capsys):
+    pairs = [{"before": {"s": b}, "after": {"s": 1.3 * b}} for b in STEADY]
+    path = tmp_path / "BENCH_0.json"
+    path.write_text(json.dumps({**_bench(STEADY, STEADY), "stages": {"pairs": pairs}}))
+    assert bench_pairs.main(["--reread", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split()[0] == "stage"
+    assert lines[-1].split()[:2] == ["s", "median_s"]
+    assert lines[-1].endswith("worse")
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_reread_reads_every_committed_bench_file(path, capsys):
+    assert bench_pairs.main(["--reread", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    rows = len(json.loads(path.read_text())["end_to_end"]) * len(spec["end_to_end"])
+    # the header, then one row per workload x seed x end-to-end metric
+    assert lines[0].split()[0] == "workload@seed"
+    assert all("@seed" in line.split()[0] for line in lines[1:rows + 1])
+    # what follows, if anything, is the stage table
+    assert lines[rows + 1:] == [] or lines[rows + 1].split()[0] == "stage"

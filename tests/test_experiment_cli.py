@@ -285,6 +285,23 @@ class TestRunOutputs:
             assert r[1] == r[2] == "nan"
             assert r[5] == "raw_nonpositive_purity;no_mitigation;shifted"
 
+    @pytest.mark.parametrize("p_layer", ["0", "0.01"])
+    def test_exact_mode_shifts_the_raw_series(self, tmp_path, p_layer):
+        # sites 2 and 3 cut two singlets, so S(0) = 2 bits; exact rows are
+        # never mitigated, also when p_layer > 0 turns mitigation on
+        conf = _write_config(
+            tmp_path,
+            "L = 4\ninitial = singlet\nsubsystem = 2,3\ntimes = 0, 0.3, 0.6\n"
+            f"exact_probabilities = true\nshift_mode = zero_at_t0\np_layer = {p_layer}\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        rows = [r.split(",") for r in (out / "entropy.csv").read_text().splitlines()[1:]]
+        raw = np.array([float(r[1]) for r in rows])
+        assert raw[0] == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose([float(r[2]) for r in rows], raw - raw[0], atol=1e-12)
+        assert [r[5] for r in rows] == ["exact_mode;no_mitigation;shifted"] * 3
+
 
 class TestManifestLayers:
     @pytest.mark.parametrize("initial", ["neel", "singlet"])

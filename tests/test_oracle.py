@@ -211,6 +211,8 @@ class TestCorrelationBlocks:
 
 class TestRenyiFromCorrelation:
     def test_pinned_eigenvalues_give_zero(self):
+        # +0.0, not -0.0, which would also pass ``== 0.0``
+        assert math.copysign(1.0, renyi_from_correlation([0.0, 1.0])) == 1.0
         assert renyi_from_correlation([0.0, 1.0]) == 0.0
 
     def test_half_eigenvalue_one_bit(self):
