@@ -3,12 +3,12 @@
 
 Usage: PYTHONPATH=<checkout>/src python scripts/bench_stages.py [--repeats N]
 
-Stages, in the order they run:
-  rotate_state_l{8,10,12,14,16}
-                        one rotation round, a fixed Haar unitary per qubit,
+Stages, in the order they run (a stage's time depends on the stages run
+before it in this process, so a new stage goes at the end):
+  rotate_state_l<n>, blocks_l<n>, for n = 8, 10, 12, 14, 16 in turn:
+  rotate_state_l<n>     one rotation round, a fixed Haar unitary per qubit,
                         as ``rotate_state`` does it;
-  blocks_l{8,10,12,14,16}
-                        the same round in the cycled-block form, blocks of
+  blocks_l<n>           the same round in the cycled-block form, blocks of
                         4 qubits, the last one shorter where 4 does not
                         divide L. The chain length from which
                         ``rotate_state`` rotates in blocks comes from these;

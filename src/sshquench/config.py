@@ -83,6 +83,8 @@ class ExperimentConfig:
                     _check(key, getattr(self, field))
 
         times = self.times
+        if not times:
+            raise ConfigError("times must hold at least one time", key="times")
         if not all(np.isfinite(times)):
             raise ConfigError("times must be finite", key="times")
         if any(t < 0 for t in times):
@@ -90,6 +92,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("times must be strictly increasing", key="times")
 
+        if not self.quantities:
+            raise ConfigError("quantities must name at least one quantity", key="quantities")
         for q in self.quantities:
             if q not in QUANTITIES:
                 raise ConfigError(
@@ -100,11 +104,8 @@ class ExperimentConfig:
             raise ConfigError("duplicate quantity", key="quantities")
 
         resolve_subsystem(self.subsystem, self.num_sites)
-        if (
-            "entropy" in self.quantities
-            and self.subsystem in ("half", "bulk")
-            and self.num_sites % 4
-        ):
+        # bulk at L % 4 != 0 is refused by resolve_subsystem above
+        if "entropy" in self.quantities and self.subsystem == "half" and self.num_sites % 4:
             raise ConfigError(
                 "symmetric-bipartition entropy needs L divisible by 4", key="L"
             )

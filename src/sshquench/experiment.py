@@ -6,7 +6,7 @@ on one bounded thread pool: each point's state is built just before its work
 items (its own rows, then its randomized-measurement rounds) and dropped after
 them. Every work item derives its own generator from the master seed and the
 reduction runs in index order, so outputs are byte-identical for any worker
-count.
+count. Exact mode is the zero-round, zero-shot case of the same row builders.
 
 The randomized-measurement round (a Haar unitary per qubit, then the
 measurement chain) lives here, and the library's
@@ -102,19 +102,6 @@ TABLE_HEADERS = {
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _closed_form_oracle(config, t: float) -> float | None:
-    """Closed form where a cell-aligned bipartition applies, None otherwise."""
-    cells_per_half = config.num_sites // 4
-    if config.subsystem == "half":
-        return closed_form_entropy(
-            config.initial, t, config.boundary, num_cells=cells_per_half
-        )
-    if config.subsystem == "bulk" and config.num_sites % 8 == 0:  # whole cells only then
-        # two boundaries regardless of chain ends: the periodic form
-        return closed_form_entropy(config.initial, t, "pbc", num_cells=cells_per_half)
-    return None
 
 
 def _parallel_map(fn, items, threads: int):
@@ -287,40 +274,54 @@ def run_randomized_measurements(
 
 
 def _entropy_point(config, state, t_idx: int, subset) -> tuple[float, float]:
-    """The exact entropy (nan unless in exact mode) and the oracle entropy: the
-    closed form where one applies, else the exact entropy, computed once."""
-    nan, oracle = float("nan"), _closed_form_oracle(config, config.times[t_idx])
+    """(exact, oracle) entropies. The oracle is the closed form where a
+    cell-aligned bipartition applies, else the exact entropy. The exact entropy
+    is computed once, in exact mode or where no closed form applies, else nan."""
+    t, cells_per_half, oracle = config.times[t_idx], config.num_sites // 4, None
+    if config.subsystem == "half":
+        oracle = closed_form_entropy(
+            config.initial, t, config.boundary, num_cells=cells_per_half
+        )
+    elif config.subsystem == "bulk" and config.num_sites % 8 == 0:  # whole cells only then
+        # two boundaries regardless of chain ends: the periodic form
+        oracle = closed_form_entropy(config.initial, t, "pbc", num_cells=cells_per_half)
+    nan = float("nan")
     exact = renyi2(purity(state, subset)) if oracle is None or config.exact_probabilities else nan
-    return (exact if config.exact_probabilities else nan), (exact if oracle is None else oracle)
+    return exact, (exact if oracle is None else oracle)
 
 
 def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
     """Rows of ``entropy.csv``; fills ``shot_files`` when shots are saved.
 
     Each of ``points`` is a time point's own result, then its rounds' results.
+    Exact mode is the case of no rounds: raw is the exact entropy, sigma is
+    0 and nothing is mitigated.
     """
-    if config.exact_probabilities:
-        rows = [
-            (t, exact, float("nan"), oracle, 0.0, ("exact_mode", "no_mitigation"))
-            for t, [((exact, oracle), _twist)] in zip(config.times, points)
-        ]
-        return _shifted(config, rows, mitigated=False)
-
-    mitigate_on = config.mitigation_enabled()
+    mitigate_on = config.mitigation_enabled() and not config.exact_probabilities
     rows: list[tuple] = []
-    for t_idx, (t, [((_exact, oracle), _twist), *chunk]) in enumerate(zip(config.times, points)):
-        unbiased = round_average([r[0] for r in chunk])
-        plugin = round_average([r[1] for r in chunk])
-        est = unbiased if config.estimator == "unbiased" else plugin
-        raw = renyi2(est.value)
-        sigma = (
-            est.sigma / (est.value * np.log(2.0)) if est.value > 0.0 else float("nan")
-        )
-        flags: list[str] = []
-        if np.isnan(raw):
-            flags.append("raw_nonpositive_purity")
+    for t_idx, (t, [((exact, oracle), _twist), *chunk]) in enumerate(zip(config.times, points)):
+        raw, sigma, mitigated = exact, 0.0, float("nan")
+        flags = [] if chunk else ["exact_mode"]
+        if chunk:
+            unbiased = round_average([r[0] for r in chunk])
+            plugin = round_average([r[1] for r in chunk])
+            est = unbiased if config.estimator == "unbiased" else plugin
+            raw = renyi2(est.value)
+            sigma = (
+                est.sigma / (est.value * np.log(2.0)) if est.value > 0.0 else float("nan")
+            )
+            if np.isnan(raw):
+                flags.append("raw_nonpositive_purity")
+            if config.save_shots:
+                shot_files[f"entropy_t{t_idx:04d}.txt"] = _shot_file(
+                    config, len(chunk), enumerate((r[3] for r in chunk), start=1)
+                )
+            if not quiet:
+                print(
+                    f"t={t: .6f}  S_unbiased={renyi2(unbiased.value): .4f}  "
+                    f"S_plugin={renyi2(plugin.value): .4f}  oracle={oracle: .4f}"
+                )
 
-        mitigated = float("nan")
         if mitigate_on:
             full_purity = float(np.mean([r[2] for r in chunk]))
             p_fit = estimate_p_tot_from_full_purity(full_purity, config.num_sites)
@@ -332,28 +333,13 @@ def _entropy_series(config, points, subset, shot_files, quiet) -> list[tuple]:
             mitigated = renyi2(fixed.value)
         else:
             flags.append("no_mitigation")
-
         rows.append((t, raw, mitigated, oracle, float(sigma), tuple(flags)))
-        if config.save_shots:
-            shot_files[f"entropy_t{t_idx:04d}.txt"] = _shot_file(
-                config, len(chunk), enumerate((r[3] for r in chunk), start=1)
-            )
-        if not quiet:
-            print(
-                f"t={t: .6f}  S_unbiased={renyi2(unbiased.value): .4f}  "
-                f"S_plugin={renyi2(plugin.value): .4f}  oracle={oracle: .4f}"
-            )
-    return _shifted(config, rows, mitigate_on)
-
-
-def _shifted(config, rows: list[tuple], mitigated: bool) -> list[tuple]:
-    """``rows`` with the mitigated column holding the shifted mitigated series,
-    or the shifted raw series when ``mitigated`` is false (mitigation off, or
-    exact mode); unchanged when ``shift_mode`` is ``none``. A series with no
-    finite value has nothing to align and stays nan."""
     if config.shift_mode == "none":
         return rows
-    base = np.array([row[2] if mitigated else row[1] for row in rows])
+    # the mitigated column takes the shifted mitigated series, or the shifted raw
+    # series when nothing is mitigated (mitigation off, or exact mode); a series
+    # with no finite value has nothing to align and stays nan
+    base = np.array([row[2] if mitigate_on else row[1] for row in rows])
     aligned = shift_align(base, config.shift_mode)[0] if np.isfinite(base).any() else base
     return [
         (t, raw, float(v), oracle, sigma, flags + ("shifted",))
@@ -364,20 +350,16 @@ def _shifted(config, rows: list[tuple], mitigated: bool) -> list[tuple]:
 def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
     """One time point's ``twist.csv`` and ``berry.csv`` rows and its shot text.
 
-    With exact probabilities the raw and postselected columns repeat the
-    exact ones and the shot text is None.
+    The raw and postselected columns start at the exact ones; exact mode
+    keeps them there, skips the sampling and has no shot text.
     """
     dist = probabilities(state)
-    z_exact = distribution_twist(dist, q=1, kind="spin").z
+    z_raw = z_post = z_exact = distribution_twist(dist, q=1, kind="spin").z
     exact_point = berry_phase(distribution_twist(dist, q=2, kind="particle"), reference)
-    gamma_exact = exact_point.gamma
+    gamma_raw = gamma_post = gamma_exact = exact_point.gamma
     flags = [] if exact_point.reliable else ["exact_unreliable"]
-
-    if config.exact_probabilities:
-        z_raw = z_post = z_exact
-        gamma_raw = gamma_post = gamma_exact
-        shots = None
-    else:
+    shots = None
+    if not config.exact_probabilities:
         rng = child_generator(config.seed, TWIST_STREAM, t_idx)
         keys, vals = _nonzero(
             _measure(dist, config.num_shots, p_tot_true, config.readout_flip, rng)
@@ -385,14 +367,7 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
         counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
         kept = postselect_half_filling(counts, config.num_sites)
         z_raw, gamma_raw = _twist_estimate(counts, config.num_sites, reference, "raw", flags)
-        if kept:
-            z_post, gamma_post = _twist_estimate(
-                kept, config.num_sites, reference, "post", flags
-            )
-        else:
-            z_post = complex(float("nan"), float("nan"))
-            gamma_post = float("nan")
-            flags.append("post_empty")
+        z_post, gamma_post = _twist_estimate(kept, config.num_sites, reference, "post", flags)
         shots = _shot_file(config, 1, [(0, (keys, vals))]) if config.save_shots else None
 
     t = config.times[t_idx]
@@ -403,8 +378,12 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
 def _twist_estimate(counts, num_sites: int, reference: float, column: str, flags: list):
     """Spin twist z at q = 1 and Berry angle of the particle twist at q = 2.
 
-    Appends ``<column>_unreliable`` to ``flags`` when the angle is.
+    Appends ``<column>_unreliable`` to ``flags`` when the angle is. No counts
+    (a postselection that kept no shot) give nan and ``<column>_empty``.
     """
+    if not counts:
+        flags.append(f"{column}_empty")
+        return complex(float("nan"), float("nan")), float("nan")
     z = twist_order_parameter(counts, num_sites, q=1).z
     point = berry_phase(particle_twist_amplitude(counts, num_sites, q=2), reference)
     if not point.reliable:
@@ -599,42 +578,30 @@ def compare_report(out_dir: str | Path) -> str:
     if not tables:
         raise FileNotFoundError(f"no entropy/twist/berry CSV found in {out_dir}")
     lines: list[str] = [f"comparison report for {out_dir}"]
-
-    if "entropy" in tables:
-        cols = tables["entropy"]
-        for series in ("raw", "mitigated"):
-            rms, peak, n = _series_stats(cols[series], cols["oracle"])
-            lines.append(
-                f"entropy {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}"
-            )
-
-    if "twist" in tables:
-        cols = tables["twist"]
-        z = {
-            series: cols[f"re_{series}"] + 1j * cols[f"im_{series}"]
-            for series in ("raw", "post", "exact")
-        }
-        for series in ("raw", "post"):
-            rms, peak, n = _series_stats(z[series], z["exact"])
-            if n:
-                lines.append(
-                    f"twist {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}"
-                )
-
-    if "berry" in tables:
-        cols = tables["berry"]
-        flags = [set(f.split(";")) for f in cols["flags"]]
-        for series, bad in (
-            ("gamma_raw", {"raw_unreliable", "exact_unreliable"}),
-            ("gamma_post", {"post_unreliable", "post_empty", "exact_unreliable"}),
-        ):
-            kept = np.array([not (row & bad) for row in flags], dtype=bool)
-            vals = np.where(kept, cols[series], np.nan)
-            rms, peak, n = _series_stats(vals, cols["gamma_exact"], circular=True)
-            lines.append(
-                f"berry {series}: rms={_fmt(rms)} max={_fmt(peak)} "
-                f"points={n} (unreliable rows excluded)"
-            )
+    # (table, series, reference column, flags that exclude a row from the series)
+    for table, series, reference, bad in (
+        ("entropy", "raw", "oracle", ()),
+        ("entropy", "mitigated", "oracle", ()),
+        ("twist", "raw", "exact", ()),
+        ("twist", "post", "exact", ()),
+        ("berry", "gamma_raw", "gamma_exact", ("raw_unreliable", "exact_unreliable")),
+        ("berry", "gamma_post", "gamma_exact",
+         ("post_unreliable", "post_empty", "exact_unreliable")),
+    ):
+        if table not in tables:
+            continue
+        cols = tables[table]
+        est, ref = (  # a complex column is read from its re_ and im_ columns
+            cols[name] if name in cols else cols[f"re_{name}"] + 1j * cols[f"im_{name}"]
+            for name in (series, reference)
+        )
+        if bad:
+            kept = [set(row.split(";")).isdisjoint(bad) for row in cols["flags"]]
+            est = np.where(kept, est, np.nan)
+        rms, peak, n = _series_stats(est, ref, circular=table == "berry")
+        if n or table != "twist":  # a twist series with no finite point is left out
+            note = " (unreliable rows excluded)" if bad else ""
+            lines.append(f"{table} {series}: rms={_fmt(rms)} max={_fmt(peak)} points={n}{note}")
 
     text = "\n".join(lines) + "\n"
     _replace_file(out_dir / "summary.txt", text)

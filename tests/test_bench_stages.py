@@ -1,4 +1,4 @@
-"""Smoke test of ``scripts/bench_stages.py``: it runs and prints its keys.
+"""Smoke test of ``scripts/bench_stages.py``: it runs and prints its keys in order.
 
 No time is asserted; only the shape of the JSON it prints.
 """
@@ -10,7 +10,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-STAGES = {
+# The stages in the order the script documents and runs them. A stage's time
+# depends on the stages that ran before it in the same process, so a new
+# stage is appended here and at the end of ``_stages``, never inserted.
+STAGES = (
+    *(f"{form}_l{n}" for n in (8, 10, 12, 14, 16) for form in ("rotate_state", "blocks")),
     "sample_haar_unitary",
     "gate1q_construct",
     "kernel_n8",
@@ -22,8 +26,7 @@ STAGES = {
     "state_build_l16",
     "exact_twist_l16",
     "flip_outcomes_l16",
-    *(f"{form}_l{n}" for form in ("rotate_state", "blocks") for n in (8, 10, 12, 14, 16)),
-}
+)
 
 
 def test_one_repeat_prints_every_stage():
@@ -36,7 +39,7 @@ def test_one_repeat_prints_every_stage():
     assert set(result) == {"provenance", "repeats", "stages"}
     assert set(result["provenance"]) == {"commit", "src_modified", "python", "numpy", "nproc"}
     assert result["repeats"] == 1
-    assert set(result["stages"]) == STAGES
+    assert tuple(result["stages"]) == STAGES
     for stage in result["stages"].values():
         assert set(stage) == {"median_s", "calls_per_block", "blocks_s"}
         assert len(stage["blocks_s"]) == 1

@@ -328,6 +328,21 @@ class TestCodeBuilt:
         assert built.value.key == key
 
     @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("times", "times must hold at least one time"),
+            ("quantities", "quantities must name at least one quantity"),
+        ],
+    )
+    def test_replace_rejects_an_empty_tuple(self, field, message):
+        # the parser refuses an empty value as "<key> has no value"; a run of
+        # no time point or no quantity would write only a manifest, or fail
+        with pytest.raises(ConfigError) as built:
+            replace(parse_config_text(MINIMAL), **{field: ()})
+        assert str(built.value) == message
+        assert built.value.key == field
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"times": [0.0, 0.5]},

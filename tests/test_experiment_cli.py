@@ -303,6 +303,69 @@ class TestRunOutputs:
         assert [r[5] for r in rows] == ["exact_mode;no_mitigation;shifted"] * 3
 
 
+class TestFlagTokens:
+    """Each flag token the runner writes, pinned row by row. Within a row of
+    ``entropy.csv`` the order is exact_mode or raw_nonpositive_purity, then
+    p_tot_clamped, then mitigated_clamped or no_mitigation, then shifted; in
+    ``berry.csv`` it is exact_unreliable, raw_unreliable, then post_unreliable
+    or post_empty."""
+
+    PI_8 = "0.39269908169872414"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # two shots per round: the full-chain purity fit and the mitigated
+            # purity clamp
+            ("times = 0, 0.3\nn_unitaries = 2\nn_shots = 2\np_layer = 0.05\n"
+             "mitigate = on\nshift_mode = zero_at_t0\nseed = 0\n",
+             {"entropy": ["raw_nonpositive_purity;p_tot_clamped;mitigated_clamped;shifted",
+                          "raw_nonpositive_purity;mitigated_clamped;shifted"]}),
+            ("times = 0, 0.3\nn_unitaries = 4\nn_shots = 64\nseed = 0\n",
+             {"entropy": ["no_mitigation"] * 2}),
+            # with every bit flipped at rate 1/2, neither of the two shots at
+            # t = 0.3 is at half filling
+            ("times = 0, 0.3\nquantities = twist,berry\nn_shots = 2\nreadout_flip = 0.5\n"
+             "seed = 0\n",
+             {"berry": ["raw_unreliable", "post_empty"]}),
+            # the exact particle twist of the Neel ring vanishes at t = pi/8
+            (f"times = 0, {PI_8}\nquantities = berry\nn_shots = 64\nseed = 0\n",
+             {"berry": ["", "exact_unreliable;raw_unreliable;post_unreliable"]}),
+            # exact mode repeats the exact columns and so adds no raw or post flag
+            (f"times = 0, {PI_8}\nquantities = entropy,berry\nexact_probabilities = true\n",
+             {"entropy": ["exact_mode;no_mitigation"] * 2, "berry": ["", "exact_unreliable"]}),
+        ],
+    )
+    def test_flags_of_each_row(self, tmp_path, text, expected):
+        conf = _write_config(tmp_path, "L = 4\ninitial = neel\n" + text)
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        for name, flags in expected.items():
+            rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+            assert [r.split(",")[-1] for r in rows] == flags
+
+    def test_empty_postselection_writes_nan_post_columns(self, tmp_path):
+        # the one time point keeps no shot: the report leaves the twist post
+        # series out and counts no berry post point
+        conf = _write_config(
+            tmp_path,
+            "L = 4\ninitial = neel\ntimes = 0.3\nquantities = twist,berry\nn_shots = 2\n"
+            "readout_flip = 0.5\nseed = 4\n",
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 0
+        twist = (out / "twist.csv").read_text().splitlines()[1].split(",")
+        berry = (out / "berry.csv").read_text().splitlines()[1].split(",")
+        assert twist[3:5] == ["nan", "nan"] and berry[2] == "nan"
+        assert berry[4] == "post_empty"
+        assert compare_report(out).splitlines()[1:] == [
+            "twist raw: rms=0.565651571115 max=0.565651571115 points=1",
+            "berry gamma_raw: rms=3.14159265359 max=3.14159265359 points=1 "
+            "(unreliable rows excluded)",
+            "berry gamma_post: rms=nan max=nan points=0 (unreliable rows excluded)",
+        ]
+
+
 class TestManifestLayers:
     @pytest.mark.parametrize("initial", ["neel", "singlet"])
     @pytest.mark.parametrize("boundary", ["pbc", "obc"])
