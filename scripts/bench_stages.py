@@ -30,7 +30,11 @@ before it in this process, so a new stage goes at the end):
                         to the prepared Neel ring;
   exact_twist_l16       one ``exact_twist`` of that state;
   flip_outcomes_l16     one ``flip_outcomes`` at f = 0.02 of 65536 shots
-                        sampled from that state, as that workload flips them.
+                        sampled from that state, as that workload flips them;
+  twist_point_l16       one ``experiment._twist_point`` of that state under
+                        that workload's settings: both exact twists, the
+                        sampling, the flips, postselection and both
+                        estimates of one time point.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
@@ -85,9 +89,10 @@ def _stages():
     """(name, calls per block, one call) in report order."""
     from sshquench import quench_circuit
     from sshquench.circuits import evolution_circuit, prepare_neel, prepare_singlet_product
-    from sshquench.experiment import _random_round
+    from sshquench.config import parse_config_text
+    from sshquench.experiment import _random_round, _twist_point
     from sshquench.noise import flip_outcomes
-    from sshquench.observables import exact_twist
+    from sshquench.observables import exact_twist, gauge_reference
     from sshquench.randmeas import _rotate_in_blocks, purity_statistic, rotate_state
     from sshquench.randmeas import sample_haar_unitary
     from sshquench.state import Gate1Q, probabilities, sample_outcomes
@@ -123,6 +128,13 @@ def _stages():
     yield "exact_twist_l16", 50, lambda: exact_twist(state, q=1, kind="spin")
     outcomes = sample_outcomes(probabilities(state), TWIST_SHOTS, rng)
     yield "flip_outcomes_l16", 20, lambda: flip_outcomes(outcomes, 16, TWIST_FLIP, rng)
+    # the workload's settings with its one time point at the state's t
+    config = parse_config_text(
+        "L = 16\ninitial = neel\nboundary = pbc\ntimes = 0.3\nquantities = twist,berry\n"
+        f"n_shots = {TWIST_SHOTS}\nreadout_flip = {TWIST_FLIP}\nseed = 777\n"
+    )
+    reference = gauge_reference(start)
+    yield "twist_point_l16", 20, lambda: _twist_point(config, state, 0, reference, 0.0)
 
 
 def _time(call, calls: int, repeats: int) -> dict:

@@ -8,7 +8,10 @@ the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
 fused circuits apply it as one dense 4x4 gate. ``Circuit.run`` runs a
 circuit of ring-local gates (one-qubit gates and pairs (a, (a+1) mod L)),
 such as the preparations and the fused evolution, as one run of cycled
-stages (``state._apply_stages``).
+stages (``state._apply_stages``). Run from |0...0>, a circuit's X gates on
+qubits that no earlier gate touched only set bits of the start's basis
+string: the Neel preparation applies no gate, and the singlet preparation
+only its H and CX gates.
 
 Layer counting models nearest-neighbor hardware congestion: a two-qubit gate
 occupies every site in the closed interval between its endpoints, so the
@@ -30,6 +33,7 @@ from .state import (
 _SQ2 = 1.0 / np.sqrt(2.0)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+_X_ENTRIES = _X.tolist()  # compared in Python scalars, as ``Circuit.run`` folds X gates
 _H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
 _S = np.diag([1.0, 1.0j])
 _SDG = np.diag([1.0, -1.0j])
@@ -99,14 +103,24 @@ class Circuit:
 
     def run(self, start: QuantumState | None = None) -> QuantumState:
         """Apply the circuit to ``start`` of as many qubits, or to |0...0> if None:
-        ring-local gates in one run of cycled stages, any other circuit gate by gate."""
-        n = self.num_qubits
-        state = new_basis_state(n, "0" * n) if start is None else start
-        if state.num_qubits != n:
+        ring-local gates in one run of cycled stages, any other circuit gate by gate.
+
+        From |0...0>, an X gate (by its matrix, not its name) on a qubit that no
+        earlier gate touched sets that qubit's bit of the start's basis string
+        and runs no stage, so ``prepare_neel(L).run()`` applies no gate.
+        """
+        n, gates = self.num_qubits, self.gates
+        if start is None:
+            bits, gates = _fold_leading_x(n, gates)
+            start = new_basis_state(n, bits)
+        if start.num_qubits != n:
             raise ValueError("start state and circuit act on different qubit counts")
-        if all(isinstance(g, Gate1Q) or g.qubits[1] == (g.qubits[0] + 1) % n for g in self.gates):
-            return _apply_stages(state, [(g.qubits[0], g.matrix.T) for g in self.gates])
-        for g in self.gates:
+        if not gates:
+            return start
+        if all(isinstance(g, Gate1Q) or g.qubits[1] == (g.qubits[0] + 1) % n for g in gates):
+            return _apply_stages(start, [(g.qubits[0], g.matrix.T) for g in gates])
+        state = start
+        for g in gates:
             state = apply_gate(state, g)
         return state
 
@@ -114,6 +128,19 @@ class Circuit:
         if other.num_qubits != self.num_qubits:
             raise ValueError("circuits act on different qubit counts")
         return Circuit(self.num_qubits, self.gates + other.gates)
+
+
+def _fold_leading_x(num_qubits: int, gates: tuple[Gate, ...]) -> tuple[str, tuple[Gate, ...]]:
+    """Basis string of |0...0> after the X gates on qubits that no earlier gate
+    touched, and the gates left to run."""
+    bits, touched, rest = ["0"] * num_qubits, set(), []
+    for g in gates:
+        if isinstance(g, Gate1Q) and g.qubit not in touched and g.matrix.tolist() == _X_ENTRIES:
+            bits[g.qubit] = "1"
+        else:
+            rest.append(g)
+        touched.update(g.qubits)
+    return "".join(bits), tuple(rest)
 
 
 def _gate_span(gate: Gate) -> range:

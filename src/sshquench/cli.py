@@ -4,9 +4,9 @@
                            [--exact-probabilities] [--quiet]
     sshquench report <run-dir>
 
-Exit codes: 0 success, 2 invalid configuration, missing files or a malformed
-run-directory CSV, 3 capacity violation (chain or subsystem too large for the
-dense engine).
+Exit codes: 0 success, 2 invalid configuration, missing files, an output path
+that is not a directory or a malformed run-directory CSV, 3 capacity violation
+(chain or subsystem too large for the dense engine).
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, RunFileError) as exc:
+    except (FileNotFoundError, NotADirectoryError, RunFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -59,12 +59,13 @@ from .noise import (
 )
 from .observables import (
     berry_phase,
-    distribution_twist,
     exact_twist,  # noqa: F401 (a name that benchmark/bench_trace.py wraps)
     gauge_reference,
+    histogram_twist,
     particle_twist_amplitude,
     postselect_half_filling,
     twist_order_parameter,
+    w_histogram,
 )
 from .oracle import closed_form_entropy
 from .randmeas import (
@@ -143,6 +144,8 @@ def run_experiment(
 
 def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Path:
     out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"output path {out_dir} exists and is not a directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     # a rerun that fails midway must not leave the last run's manifest
     # vouching for new, partial files
@@ -354,8 +357,11 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
     keeps them there, skips the sampling and has no shot text.
     """
     dist = probabilities(state)
-    z_raw = z_post = z_exact = distribution_twist(dist, q=1, kind="spin").z
-    exact_point = berry_phase(distribution_twist(dist, q=2, kind="particle"), reference)
+    histogram = w_histogram(dist)  # both exact twists read it
+    z_raw = z_post = z_exact = histogram_twist(histogram, config.num_sites, q=1, kind="spin").z
+    exact_point = berry_phase(
+        histogram_twist(histogram, config.num_sites, q=2, kind="particle"), reference
+    )
     gamma_raw = gamma_post = gamma_exact = exact_point.gamma
     flags = [] if exact_point.reliable else ["exact_unreliable"]
     shots = None

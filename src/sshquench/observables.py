@@ -14,7 +14,12 @@ particle twist at q = 2 for half filling, reported relative to the exact
 initial-state argument so that a quench that never moves the twist phase
 reads exactly zero; see ``berry_phase`` and ``gauge_reference``. The
 estimators read exp(i phase) from a table over the L(L+1)/2 + 1 values of
-W = sum_j j s_j, each entry the same ``np.exp`` of the same angle.
+W = sum_j j s_j, each entry the same ``np.exp`` of the same angle. An exact
+twist depends on the distribution only through the weight of each W
+(Resta, PRL 80, 1800 (1998)): ``w_histogram`` sums it in one ``np.bincount``
+over the 2^L indices, and each (q, kind) is then one dot product of that
+histogram with the table (``histogram_twist``), so a time point's spin and
+particle twists share one pass over the distribution.
 """
 from __future__ import annotations
 
@@ -116,11 +121,23 @@ def particle_twist_amplitude(
     return _twist_from_counts(counts, num_sites, q, "particle")
 
 
+def w_histogram(distribution: np.ndarray) -> np.ndarray:
+    """Weight of each W = 0..L(L+1)/2 in a distribution over the 2^L basis indices."""
+    n = distribution.size.bit_length() - 1
+    return np.bincount(_bit_sums(n)[0], weights=distribution, minlength=n * (n + 1) // 2 + 1)
+
+
+def histogram_twist(
+    histogram: np.ndarray, num_sites: int, q: int = 1, kind: str = "spin"
+) -> TwistResult:
+    """Twist amplitude of the distribution whose ``w_histogram`` this is."""
+    return TwistResult(complex(histogram @ _phase_factors(num_sites, q, kind)))
+
+
 def distribution_twist(distribution: np.ndarray, q: int = 1, kind: str = "spin") -> TwistResult:
     """Infinite-shot limit of the bitstring estimators on a measurement distribution."""
     n = distribution.size.bit_length() - 1
-    factors = _phase_factors(n, q, kind).take(_bit_sums(n)[0])
-    return TwistResult(complex(np.sum(distribution * factors)))
+    return histogram_twist(w_histogram(distribution), n, q, kind)
 
 
 def exact_twist(

@@ -26,6 +26,7 @@ STAGES = (
     "state_build_l16",
     "exact_twist_l16",
     "flip_outcomes_l16",
+    "twist_point_l16",
 )
 
 

@@ -17,6 +17,7 @@ from conftest import (
     ref_singlet_vector,
 )
 from sshquench import circuits
+from sshquench import state as state_module
 from sshquench.circuits import (
     Circuit,
     circuit_to_text,
@@ -24,12 +25,14 @@ from sshquench.circuits import (
     coupling_block_matrix,
     evolution_circuit,
     evolution_links,
+    h_gate,
     layer_count,
     layers,
     prepare_neel,
     prepare_singlet_product,
     quench_circuit,
     rz_gate,
+    x_gate,
 )
 from sshquench.randmeas import sample_haar_unitary
 from sshquench.state import (
@@ -37,10 +40,13 @@ from sshquench.state import (
     Gate2Q,
     QuantumState,
     apply_gate,
+    bits_to_index,
     new_basis_state,
     overlap,
     probabilities,
 )
+
+X = np.array([[0, 1], [1, 0]])
 
 
 class TestPreparation:
@@ -331,6 +337,98 @@ class TestLinkLayer:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * (16 << num_sites)
+
+
+def _staged_from_zero(circuit):
+    """Every gate of the circuit, X gates included, as a cycled stage on |0...0>."""
+    n = circuit.num_qubits
+    stages = [(g.qubits[0], g.matrix.T) for g in circuit.gates]
+    return state_module._apply_stages(new_basis_state(n, "0" * n), stages)
+
+
+def _spy_stages(monkeypatch) -> list:
+    """Record the (first qubit, matrix) of every stage that ``Circuit.run`` applies."""
+    seen = []
+
+    def spy(state, stages):
+        stages = list(stages)
+        seen.extend(stages)
+        return state_module._apply_stages(state, stages)
+
+    monkeypatch.setattr(circuits, "_apply_stages", spy)
+    return seen
+
+
+class TestFoldedX:
+    """From |0...0>, ``Circuit.run`` sets the bit of an X gate on a qubit that no
+    earlier gate touched in the start's basis string instead of running it."""
+
+    @pytest.mark.parametrize("num_sites", range(2, 17, 2))
+    @pytest.mark.parametrize("prepare", [prepare_neel, prepare_singlet_product])
+    def test_preparations_keep_the_bits_of_their_stages(self, num_sites, prepare):
+        prep = prepare(num_sites)
+        got, want = prep.run(), _staged_from_zero(prep)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        for boundary in ("pbc", "obc"):
+            evolution = evolution_circuit(0.77, num_sites, boundary, fused=True)
+            got_t, want_t = evolution.run(got), evolution.run(want)
+            assert got_t.amplitudes.tobytes() == want_t.amplitudes.tobytes()
+
+    def test_neel_preparation_runs_no_gate(self, monkeypatch):
+        monkeypatch.setattr(circuits, "_apply_stages", _refuse)
+        monkeypatch.setattr(circuits, "apply_gate", _refuse)
+        got = prepare_neel(8).run().amplitudes
+        assert np.flatnonzero(got).tolist() == [bits_to_index("10101010")]
+
+    def test_singlet_preparation_stages_only_its_h_and_cx(self, monkeypatch):
+        seen = _spy_stages(monkeypatch)
+        prepare_singlet_product(8).run()
+        assert [first for first, _m in seen] == [a for a in range(0, 8, 2) for _ in range(2)]
+        assert not any(np.array_equal(m, X) for _first, m in seen)
+
+    def test_x_after_a_gate_on_its_qubit_is_not_folded(self, monkeypatch):
+        seen = _spy_stages(monkeypatch)
+        circuit = Circuit(3, (h_gate(1), x_gate(1), x_gate(2), x_gate(2)))
+        got = circuit.run()
+        assert [first for first, _m in seen] == [1, 1, 2]  # the first X on qubit 2 folds
+        assert got.amplitudes.tobytes() == _staged_from_zero(circuit).amplitudes.tobytes()
+
+    def test_a_gate_named_x_with_another_matrix_is_not_folded(self, monkeypatch):
+        seen = _spy_stages(monkeypatch)
+        circuit = Circuit(2, (Gate1Q(h_gate(0).matrix, 0, name="X"),))
+        got = circuit.run().amplitudes
+        assert len(seen) == 1
+        np.testing.assert_allclose(got, [2**-0.5, 0, 2**-0.5, 0], rtol=0, atol=1e-15)
+
+    def test_an_explicit_start_folds_nothing(self, monkeypatch):
+        seen = _spy_stages(monkeypatch)
+        start = new_basis_state(6, "000000")
+        got = prepare_neel(6).run(start)
+        assert [first for first, _m in seen] == [0, 2, 4]
+        assert got.amplitudes.tobytes() == prepare_neel(6).run().amplitudes.tobytes()
+
+    def test_random_circuits_equal_the_gate_by_gate_amplitudes(self):
+        # X gates anywhere among Haar one-qubit gates, ring pairs and, now and
+        # then, a distant pair; folding may change only the sign of a zero
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            num_sites = int(rng.integers(2, 7))
+            gates = []
+            for _ in range(int(rng.integers(0, 9))):
+                a, kind = int(rng.integers(num_sites)), rng.random()
+                if kind < 0.4:
+                    gates.append(x_gate(a))
+                elif kind < 0.7 or num_sites == 2:
+                    gates.append(Gate1Q(sample_haar_unitary(rng), a))
+                elif kind < 0.95:
+                    gates.append(Gate2Q(random_unitary_4x4(rng), (a, (a + 1) % num_sites)))
+                else:
+                    gates.append(Gate2Q(random_unitary_4x4(rng), (a, (a + 2) % num_sites)))
+            circuit = Circuit(num_sites, tuple(gates))
+            want = new_basis_state(num_sites, "0" * num_sites)
+            for g in gates:
+                want = apply_gate(want, g)
+            assert np.array_equal(circuit.run().amplitudes, want.amplitudes)
 
 
 class TestLayering:

@@ -684,6 +684,16 @@ class TestCliErrors:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.conf")]) == 2
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below_a_file"])
+    def test_out_path_through_a_file_exit_two(self, tmp_path, capsys, below):
+        conf = _write_config(tmp_path, "L = 4\ninitial = neel\nn_unitaries = 2\n")
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep\n")
+        out = taken / below if below else taken
+        assert main(["run", str(conf), "--out", str(out), "--quiet"]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
+
     def test_python_dash_m_entry_point(self, tmp_path):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -128,7 +128,13 @@ GOLDEN = {
     # noise rates read 0.0 where they read 0. The entropy.csv digests of
     # noiseless_entropy, noisy_mitigated_entropy, writers_full and
     # plugin_shifted_threads were re-recorded once: a zero entropy in the
-    # oracle or mitigated column reads 0 where it read -0.
+    # oracle or mitigated column reads 0 where it read -0. The twist.csv
+    # digests of twist_berry_readout, writers_full and exact_all_quantities
+    # and the berry.csv digests of twist_berry_readout and
+    # exact_all_quantities were re-recorded once: the exact twists are summed
+    # from the histogram of W = sum_j j s_j, which moves their last bits
+    # (at most 4.8e-14 in gamma_exact; exact mode copies them into the raw
+    # and post columns).
     "noiseless_entropy": {
         "entropy.csv": "f90ae5f0c3cd49a894265fa69414f76f6ac92174fcc5a1e4e7946e9acb63cc60",
         "manifest.txt": "d628e069e9c62ca8ee8b606e2024dade8b6fbc8b572183c8ed6b3c5146798249",
@@ -143,14 +149,14 @@ GOLDEN = {
     # spends a random draw on every nonzero entry, so the shot stream of a
     # singlet run without local rotations depends on which build made it.
     "twist_berry_readout": {
-        "berry.csv": "6c80b696a59595b2342ea43c9e5dd687cea86ded69e9b68fd515bcf3a9728ffd",
-        "twist.csv": "72a3367ac2e0202c0c6c34d70fcfad78dc4fd170c5b05a3fdf79d8783e652f0f",
+        "berry.csv": "d01f7df23a544d18d726136d53f17e3c7d8e8f391e13d5d7e19940cdd79ccdfa",
+        "twist.csv": "f9613d4072f0db70d3a3f15d6be7ebaf3e0f5ac72da47d99437fc6b9e39b72d5",
         "manifest.txt": "908a909c8c970c7585bc01acea255db371878660b18164c37f9c29ca9f2968c3",
     },
     "writers_full": {
         "berry.csv": "4c6dc3027e3a94b1a47b7d00bca619c10787a1fac6307c4de413e63a48ca0ee9",
         "entropy.csv": "1ea81efe78a88930780b717425555d4d5dd6e55599006a7bbd09a89169df4c8d",
-        "twist.csv": "008dcb70eaff279f6ac9697054cc376d060fb2b23773391312596728503dab83",
+        "twist.csv": "21cd478d2a0a904eb08cfd0400515c7564b4aa45699043001be530374b65f165",
         "manifest.txt": "1775bb160594253455c012182352cf8c419f4aeb825ea891d4f4ffb5811b2d41",
         "shots/entropy_t0000.txt": "03808093dcbae1a8613aa5d54bd2b6de96bbaf16f3dd5073899a3b1f833a57db",
         "shots/entropy_t0001.txt": "11fe064cc2b19bb921cb68a3ea9025036bd54f6faea4e1367f34bef857ad7234",
@@ -165,9 +171,9 @@ GOLDEN = {
         "summary.txt": "71a954a3ffe45663d94dc3824bb0a41f42b9167fafaf94606f4b5e659d8ce0e7",
     },
     "exact_all_quantities": {
-        "berry.csv": "8c1385a9d4e9e3746806a3d30ede3f04e03bade95aca216db00f5f84382ea92c",
+        "berry.csv": "c98f4d39f38af5d23eaf9e577001706d416db9e153f257c2bbf73bf157ae3b56",
         "entropy.csv": "f17b1f00e5c78d4a1a1862479b73e9d77d2e78ddfb047f020ff9e563233c51ca",
-        "twist.csv": "00f9cedd865753e1b6d98813cbc043759cd5847a4a1584aeffb750d606fb898e",
+        "twist.csv": "b76f8151fad091d0ad39d93c21762ef722da5af5fcba22d948d58ad4506e6670",
         "manifest.txt": "3d29026338e706cc3503b99cd2e6acbcf96aff68e7c34e78906a83778b1b61d8",
         "summary.txt": "22dc0ada20dfbbe406b89c8b4fd94255633a8489fbd3691dbe077ba4d10f26e9",
     },

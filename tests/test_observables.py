@@ -1,12 +1,15 @@
 """Twist order parameter, particle twist, Berry phase, postselection."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import count_dict, random_state_vector
+from conftest import count_dict, qubit_bits, random_state_vector
 from sshquench.circuits import prepare_neel, prepare_singlet_product, quench_circuit
 from sshquench.noise import flip_outcomes
 from sshquench.observables import (
     berry_phase,
+    distribution_twist,
     exact_twist,
     gauge_reference,
     particle_twist_amplitude,
@@ -26,6 +29,11 @@ from sshquench.state import (
 def _direct_factors(keys, num_sites, q, kind):
     """exp(i phase) of each index by the module's formula, one angle per index."""
     weighted = sum(j * ((keys >> (num_sites - j)) & 1) for j in range(1, num_sites + 1))
+    return _factors_of_weights(weighted, num_sites, q, kind)
+
+
+def _factors_of_weights(weighted, num_sites, q, kind):
+    """exp(i phase) of each W = sum_j j s_j by the module's formula."""
     total = num_sites * (num_sites + 1) // 2
     if kind == "spin":
         phases = (np.pi * q / num_sites) * (total - 2.0 * weighted)
@@ -130,8 +138,13 @@ class TestPhaseTable:
         state = QuantumState(num_sites, random_state_vector(num_sites, rng))
         probs = probabilities(state)
         keys = np.arange(1 << num_sites)
-        want = np.sum(probs * _direct_factors(keys, num_sites, q, kind))
-        assert _bits(exact_twist(state, q, kind).z) == _bits(want)
+        weighted = sum(j * bit for j, bit in enumerate(qubit_bits(keys, num_sites), start=1))
+        num_weights = num_sites * (num_sites + 1) // 2 + 1
+        histogram = np.bincount(weighted, weights=probs, minlength=num_weights)
+        want = histogram @ _factors_of_weights(np.arange(num_weights), num_sites, q, kind)
+        got = exact_twist(state, q, kind).z
+        assert _bits(got) == _bits(want)
+        assert abs(got - np.sum(probs * _direct_factors(keys, num_sites, q, kind))) <= 1e-12
 
         counts = rng.multinomial(4096, probs)
         seen = np.flatnonzero(counts)
@@ -139,6 +152,21 @@ class TestPhaseTable:
         want = np.sum(vals * _direct_factors(seen, num_sites, q, kind)) / vals.sum()
         estimator = twist_order_parameter if kind == "spin" else particle_twist_amplitude
         assert _bits(estimator(count_dict(counts), num_sites, q).z) == _bits(want)
+
+
+    def test_distribution_twist_holds_less_than_one_complex_vector(self):
+        # the per-index sum built two complex vectors of 16 * 2^L bytes
+        num_sites = 16
+        rng = np.random.default_rng(16)
+        dist = probabilities(QuantumState(num_sites, random_state_vector(num_sites, rng)))
+        distribution_twist(dist, q=1, kind="spin")  # warm the cached tables
+        tracemalloc.start()
+        try:
+            distribution_twist(dist, q=1, kind="spin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << num_sites
 
 
 class TestParticleTwist:
