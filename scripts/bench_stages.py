@@ -34,15 +34,20 @@ before it in this process, so a new stage goes at the end):
   twist_point_l16       one ``experiment._twist_point`` of that state under
                         that workload's settings: both exact twists, the
                         sampling, the flips, postselection and both
-                        estimates of one time point.
+                        estimates of one time point;
+  neel_state_l16        the same state as ``circuits.neel_quench_state``
+                        builds it, the kron of its link pair states, as that
+                        workload does; ``state_build_l16`` keeps the fused
+                        path as the reference.
 The rotations and rounds act on a singlet ring quenched to t = 0.3.
 
 Each timing runs ``--repeats`` blocks of calls and reports the median over
 blocks of the time per call, in seconds. The JSON goes to stdout. The
 package is imported from the Python path, so pointing ``PYTHONPATH`` at two
 checkouts compares them. The JSON carries provenance: the commit of the
-package's checkout, whether its ``src`` differs from that commit, the Python
-and numpy versions and nproc. BLAS runs on one thread unless the
+package's checkout, whether its ``src`` differs from that commit, the
+``git status --porcelain`` lines of its ``src``, ``scripts`` and
+``benchmark``, the Python and numpy versions and nproc. BLAS runs on one thread unless the
 environment says otherwise, as in the children of ``benchmark/run.py``.
 """
 import argparse
@@ -73,22 +78,28 @@ def _git(root: Path, *args: str) -> str | None:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    return proc.stdout.rstrip() if proc.returncode == 0 else None
 
 
 def checkout_state(root: Path) -> dict:
-    """Commit of a checkout and whether its ``src`` differs from it."""
-    status = _git(root, "status", "--porcelain", "--", "src")
+    """Commit of a checkout, whether its ``src`` differs from it (the key that
+    older BENCH files have), and the ``git status --porcelain`` lines of its
+    ``src``, ``scripts`` and ``benchmark``: an edited stage script shows there."""
+    src = _git(root, "status", "--porcelain", "--", "src")
+    status = _git(root, "status", "--porcelain", "--", "src", "scripts", "benchmark")
     return {
         "commit": _git(root, "rev-parse", "HEAD") or "unavailable",
-        "src_modified": None if status is None else bool(status),
+        "src_modified": None if src is None else bool(src),
+        "status": None if status is None else status.splitlines(),
     }
 
 
 def _stages():
     """(name, calls per block, one call) in report order."""
     from sshquench import quench_circuit
-    from sshquench.circuits import evolution_circuit, prepare_neel, prepare_singlet_product
+    from sshquench.circuits import (
+        evolution_circuit, neel_quench_state, prepare_neel, prepare_singlet_product,
+    )
     from sshquench.config import parse_config_text
     from sshquench.experiment import _random_round, _twist_point
     from sshquench.noise import flip_outcomes
@@ -135,6 +146,7 @@ def _stages():
     )
     reference = gauge_reference(start)
     yield "twist_point_l16", 20, lambda: _twist_point(config, state, 0, reference, 0.0)
+    yield "neel_state_l16", 20, lambda: neel_quench_state(0.3, 16, "pbc")
 
 
 def _time(call, calls: int, repeats: int) -> dict:

@@ -5,13 +5,13 @@ Initial-state preparation and the exact flat-band time evolution. At
 blocks exp(-i t (XX + YY)) on the intercell links, so evolution circuits for
 arbitrary t carry no Trotter error. Gate-level circuits build each block from
 the XX and YY Ising evolutions, basis-wrapped copies of CX . Rz(2t) . CX;
-fused circuits apply it as one dense 4x4 gate. ``Circuit.run`` runs a
-circuit of ring-local gates (one-qubit gates and pairs (a, (a+1) mod L)),
-such as the preparations and the fused evolution, as one run of cycled
-stages (``state._apply_stages``). Run from |0...0>, a circuit's X gates on
-qubits that no earlier gate touched only set bits of the start's basis
-string: the Neel preparation applies no gate, and the singlet preparation
-only its H and CX gates.
+fused circuits apply it as one dense 4x4 gate. The Neel start puts each link in
+|01>, so ``neel_quench_state`` builds its evolved state as a kron of link pair
+states and runs no circuit. ``Circuit.run`` runs a circuit of ring-local gates
+(one-qubit gates and pairs (a, (a+1) mod L)), such as the preparations and the
+fused evolution, as one run of cycled stages (``state._apply_stages``); from
+|0...0>, X gates on qubits that no earlier gate touched only set bits of the
+start's basis string, so ``prepare_neel`` applies no gate.
 
 Layer counting models nearest-neighbor hardware congestion: a two-qubit gate
 occupies every site in the closed interval between its endpoints, so the
@@ -22,12 +22,13 @@ trend only; they do not reproduce any particular device transpiler.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import cos, sin
 
 import numpy as np
 
 from .state import (
-    Gate, Gate1Q, Gate2Q, QuantumState, _apply_stages, apply_gate, new_basis_state,
+    Gate, Gate1Q, Gate2Q, QuantumState, _apply_stages, _cycle, apply_gate, new_basis_state,
 )
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -241,6 +242,15 @@ def evolution_circuit(
         else:
             gates += _link_gates(a, b, t)
     return Circuit(num_sites, tuple(gates))
+
+
+def neel_quench_state(t: float, num_sites: int, boundary: str = "pbc") -> QuantumState:
+    """``prepare_neel`` evolved to ``t``: the kron of the link pair states (each |01>
+    times its block) over qubits 1, ..., L-1, 0, cycled once so that qubit 0 leads.
+    An open chain's end qubits L-1 and 0, on no link, stay |0> and |1>."""
+    pairs = [coupling_block_matrix(t)[:, 1]] * len(evolution_links(num_sites, boundary))
+    ends = [np.array([0, 1, 0, 0], dtype=complex)] * (boundary == "obc")
+    return QuantumState(num_sites, _cycle(reduce(np.kron, pairs + ends), num_sites - 1))
 
 
 def quench_circuit(

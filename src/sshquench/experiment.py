@@ -31,6 +31,7 @@ import csv
 import io
 import re
 from concurrent.futures import ThreadPoolExecutor
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from . import __version__
 from .circuits import (
     evolution_circuit,
     layer_count,
+    neel_quench_state,
     prepare_neel,
     prepare_singlet_product,
 )
@@ -58,13 +60,15 @@ from .noise import (
     shift_align,
 )
 from .observables import (
+    _count_arrays,
     berry_phase,
+    counts_twist,
     exact_twist,  # noqa: F401 (a name that benchmark/bench_trace.py wraps)
     gauge_reference,
     histogram_twist,
-    particle_twist_amplitude,
+    particle_twist_amplitude,  # noqa: F401 (a name that benchmark/bench_trace.py wraps)
     postselect_half_filling,
-    twist_order_parameter,
+    twist_order_parameter,  # noqa: F401 (a name that benchmark/bench_trace.py wraps)
     w_histogram,
 )
 from .oracle import closed_form_entropy
@@ -112,7 +116,7 @@ def _parallel_map(fn, items, threads: int):
     calls are in flight.
     """
     if threads <= 1:
-        return [fn(*item) for item in items]
+        return list(starmap(fn, items))  # holds no drawn item while drawing the next
     results, window = [], []
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for item in items:
@@ -153,8 +157,8 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
 
     subset = resolve_subsystem(config.subsystem, config.num_sites)
 
-    # fused link blocks on the prepared state; the gate-level circuit, whose
-    # depth does not depend on t, is built once for the layer counts
+    # Neel states are krons of link pair states, singlet states fused link blocks on
+    # the prepared state; the gate-level circuit, of t-independent depth, counts layers
     prepare = prepare_neel if config.initial == "neel" else prepare_singlet_product
     prep = prepare(config.num_sites)
     initial_state = prep.run()
@@ -171,10 +175,14 @@ def execute(config: ExperimentConfig, out_dir: Path, quiet: bool = False) -> Pat
         # each state is built when the pool asks for its first item; item
         # u = 0 makes the time point's own rows, u >= 1 its rounds
         for t_idx, t in enumerate(config.times):
-            fused = evolution_circuit(t, config.num_sites, config.boundary, fused=True)
-            state = fused.run(initial_state)
+            if config.initial == "neel":
+                state = neel_quench_state(t, config.num_sites, config.boundary)
+            else:
+                fused = evolution_circuit(t, config.num_sites, config.boundary, fused=True)
+                state = fused.run(initial_state)
             for u in range(rounds + 1):
                 yield state, t_idx, u
+            del state  # so the next state is built without this one
 
     def measure(state, t_idx: int, u: int):
         if u == 0:
@@ -370,10 +378,10 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
         keys, vals = _nonzero(
             _measure(dist, config.num_shots, p_tot_true, config.readout_flip, rng)
         )
-        counts = dict(zip(keys.tolist(), vals.tolist()))  # the observables' input
-        kept = postselect_half_filling(counts, config.num_sites)
-        z_raw, gamma_raw = _twist_estimate(counts, config.num_sites, reference, "raw", flags)
-        z_post, gamma_post = _twist_estimate(kept, config.num_sites, reference, "post", flags)
+        kept = postselect_half_filling(dict(zip(keys.tolist(), vals.tolist())), config.num_sites)
+        post = _count_arrays(kept, config.num_sites) if kept else None
+        z_raw, gamma_raw = _twist_estimate((keys, vals), config.num_sites, reference, "raw", flags)
+        z_post, gamma_post = _twist_estimate(post, config.num_sites, reference, "post", flags)
         shots = _shot_file(config, 1, [(0, (keys, vals))]) if config.save_shots else None
 
     t = config.times[t_idx]
@@ -381,17 +389,16 @@ def _twist_point(config, state, t_idx: int, reference: float, p_tot_true):
     return twist_row, (t, gamma_raw, gamma_post, gamma_exact, tuple(flags)), shots
 
 
-def _twist_estimate(counts, num_sites: int, reference: float, column: str, flags: list):
-    """Spin twist z at q = 1 and Berry angle of the particle twist at q = 2.
-
-    Appends ``<column>_unreliable`` to ``flags`` when the angle is. No counts
-    (a postselection that kept no shot) give nan and ``<column>_empty``.
+def _twist_estimate(arrays, num_sites: int, reference: float, column: str, flags: list):
+    """Spin twist z at q = 1 and Berry angle of the particle twist at q = 2 of the
+    (indices, counts) ``arrays``, flagging ``<column>_unreliable`` angles in ``flags``.
+    None (no shot kept) gives nan and ``<column>_empty``.
     """
-    if not counts:
+    if arrays is None:
         flags.append(f"{column}_empty")
         return complex(float("nan"), float("nan")), float("nan")
-    z = twist_order_parameter(counts, num_sites, q=1).z
-    point = berry_phase(particle_twist_amplitude(counts, num_sites, q=2), reference)
+    z = counts_twist(*arrays, num_sites, q=1, kind="spin").z
+    point = berry_phase(counts_twist(*arrays, num_sites, q=2, kind="particle"), reference)
     if not point.reliable:
         flags.append(f"{column}_unreliable")
     return z, point.gamma

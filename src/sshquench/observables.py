@@ -14,12 +14,12 @@ particle twist at q = 2 for half filling, reported relative to the exact
 initial-state argument so that a quench that never moves the twist phase
 reads exactly zero; see ``berry_phase`` and ``gauge_reference``. The
 estimators read exp(i phase) from a table over the L(L+1)/2 + 1 values of
-W = sum_j j s_j, each entry the same ``np.exp`` of the same angle. An exact
-twist depends on the distribution only through the weight of each W
+W = sum_j j s_j, indexed by a cached intp row of W over the basis indices;
+``counts_twist`` reads (indices, counts) arrays, as the dict estimators parse
+them once. An exact twist depends on the distribution only through each W's weight
 (Resta, PRL 80, 1800 (1998)): ``w_histogram`` sums it in one ``np.bincount``
 over the 2^L indices, and each (q, kind) is then one dot product of that
-histogram with the table (``histogram_twist``), so a time point's spin and
-particle twists share one pass over the distribution.
+histogram with the table (``histogram_twist``).
 """
 from __future__ import annotations
 
@@ -44,6 +44,12 @@ def _bit_sums(num_sites: int) -> np.ndarray:
         sums = np.concatenate([sums, sums + np.array([[j], [1]], dtype=np.int16)], axis=1)
     sums.setflags(write=False)
     return sums
+
+
+@lru_cache(maxsize=8)
+def _w_row(num_sites: int) -> np.ndarray:
+    """``_bit_sums(L)[0]`` as intp; writeable, as ``np.bincount`` copies read-only input."""
+    return _bit_sums(num_sites)[0].astype(np.intp)
 
 
 def _phase_angles(weighted: np.ndarray, num_sites: int, q: int, kind: str) -> np.ndarray:
@@ -95,11 +101,12 @@ def _count_arrays(counts: dict[int, int], num_sites: int) -> tuple[np.ndarray, n
     return keys, vals
 
 
-def _twist_from_counts(
-    counts: dict[int, int], num_sites: int, q: int, kind: str
+def counts_twist(
+    keys: np.ndarray, vals: np.ndarray, num_sites: int, q: int = 1, kind: str = "spin"
 ) -> TwistResult:
-    keys, vals = _count_arrays(counts, num_sites)
-    factors = _phase_factors(num_sites, q, kind)[_bit_sums(num_sites)[0, keys]]
+    """Twist amplitude of counts ``vals`` at distinct, unchecked indices ``keys``."""
+    vals = np.asarray(vals, dtype=np.float64)
+    factors = _phase_factors(num_sites, q, kind)[_w_row(num_sites)[keys]]
     return TwistResult(complex(np.sum(vals * factors) / vals.sum()))
 
 
@@ -107,7 +114,7 @@ def twist_order_parameter(
     counts: dict[int, int], num_sites: int, q: int = 1
 ) -> TwistResult:
     """Spin twist amplitude from measured counts."""
-    return _twist_from_counts(counts, num_sites, q, "spin")
+    return counts_twist(*_count_arrays(counts, num_sites), num_sites, q, "spin")
 
 
 def particle_twist_amplitude(
@@ -118,13 +125,13 @@ def particle_twist_amplitude(
     q = 2 is the half-filling choice; other q are accepted and apply the
     phase q-fold.
     """
-    return _twist_from_counts(counts, num_sites, q, "particle")
+    return counts_twist(*_count_arrays(counts, num_sites), num_sites, q, "particle")
 
 
 def w_histogram(distribution: np.ndarray) -> np.ndarray:
     """Weight of each W = 0..L(L+1)/2 in a distribution over the 2^L basis indices."""
     n = distribution.size.bit_length() - 1
-    return np.bincount(_bit_sums(n)[0], weights=distribution, minlength=n * (n + 1) // 2 + 1)
+    return np.bincount(_w_row(n), weights=distribution, minlength=n * (n + 1) // 2 + 1)
 
 
 def histogram_twist(

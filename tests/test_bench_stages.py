@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+from bench_stages import checkout_state  # noqa: E402
 
 # The stages in the order the script documents and runs them. A stage's time
 # depends on the stages that ran before it in the same process, so a new
@@ -27,6 +29,7 @@ STAGES = (
     "exact_twist_l16",
     "flip_outcomes_l16",
     "twist_point_l16",
+    "neel_state_l16",
 )
 
 
@@ -38,9 +41,34 @@ def test_one_repeat_prints_every_stage():
     )
     result = json.loads(proc.stdout)
     assert set(result) == {"provenance", "repeats", "stages"}
-    assert set(result["provenance"]) == {"commit", "src_modified", "python", "numpy", "nproc"}
+    assert set(result["provenance"]) == {
+        "commit", "src_modified", "status", "python", "numpy", "nproc"
+    }
     assert result["repeats"] == 1
     assert tuple(result["stages"]) == STAGES
     for stage in result["stages"].values():
         assert set(stage) == {"median_s", "calls_per_block", "blocks_s"}
         assert len(stage["blocks_s"]) == 1
+
+
+def test_checkout_state_shows_an_edited_script(tmp_path):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    for name in ("src/a.py", "scripts/b.py", "benchmark/c.py", "notes.txt"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    assert checkout_state(tmp_path)["status"] == []
+    (tmp_path / "scripts" / "b.py").write_text("x = 2\n")
+    (tmp_path / "notes.txt").write_text("not a tracked tree\n")
+    state = checkout_state(tmp_path)
+    assert state["status"] == [" M scripts/b.py"]
+    assert state["src_modified"] is False
+    (tmp_path / "src" / "new.py").write_text("")
+    state = checkout_state(tmp_path)
+    assert state["status"] == [" M scripts/b.py", "?? src/new.py"]
+    assert state["src_modified"] is True

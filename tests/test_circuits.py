@@ -1,4 +1,5 @@
 """Preparation and evolution circuits against kron/expm references."""
+import functools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from sshquench.circuits import (
     h_gate,
     layer_count,
     layers,
+    neel_quench_state,
     prepare_neel,
     prepare_singlet_product,
     quench_circuit,
@@ -429,6 +431,57 @@ class TestFoldedX:
             for g in gates:
                 want = apply_gate(want, g)
             assert np.array_equal(circuit.run().amplitudes, want.amplitudes)
+
+
+# the ``twist_l16_readout`` workload's 12 times, and one before and one past them
+NEEL_TIMES = (-0.4, *np.linspace(0.0, np.pi / 2, 12), 2.3)
+
+
+def _neel_mismatches(num_sites, boundary) -> int:
+    """Times of ``NEEL_TIMES`` at which ``neel_quench_state`` differs from the
+    fused evolution of the Neel preparation, in amplitudes or in probability bytes."""
+    prep = prepare_neel(num_sites).run()
+    mismatches = 0
+    for t in NEEL_TIMES:
+        got = neel_quench_state(t, num_sites, boundary)
+        want = evolution_circuit(t, num_sites, boundary, fused=True).run(prep)
+        mismatches += not (
+            np.array_equal(got.amplitudes, want.amplitudes)
+            and probabilities(got).tobytes() == probabilities(want).tobytes()
+        )
+    return mismatches
+
+
+class TestNeelQuenchState:
+    """The Neel quench state as a kron of link pair states is the fused evolution."""
+
+    @pytest.mark.parametrize("num_sites", range(2, 17, 2))
+    @pytest.mark.parametrize("boundary", ["pbc", "obc"])
+    def test_equals_the_fused_evolution_bitwise(self, num_sites, boundary):
+        assert _neel_mismatches(num_sites, boundary) == 0
+
+    # factor 0 is the first link's pair; factor -1 the wrap link's pair on a
+    # ring and the end qubits L-1, 0 of an open chain
+    @pytest.mark.parametrize("factor", [0, -1])
+    @pytest.mark.parametrize("boundary", ["pbc", "obc"])
+    def test_a_factor_with_its_two_qubits_swapped_is_caught(self, monkeypatch, factor, boundary):
+        def swapped(fn, factors):
+            factors = list(factors)
+            factors[factor] = factors[factor][[0, 2, 1, 3]]
+            return functools.reduce(fn, factors)
+
+        monkeypatch.setattr(circuits, "reduce", swapped)
+        for num_sites in (4, 8, 16):
+            assert _neel_mismatches(num_sites, boundary) == len(NEEL_TIMES)
+
+    def test_is_a_normalized_state_of_the_chain(self):
+        state = neel_quench_state(0.3, 6, "obc")
+        assert isinstance(state, QuantumState) and state.num_qubits == 6
+        assert not state.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            neel_quench_state(0.3, 5)
+        with pytest.raises(ValueError):
+            neel_quench_state(0.3, 6, "open")
 
 
 class TestLayering:

@@ -631,6 +631,24 @@ class TestOnePass:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 16 << num_sites  # less than one complex128 state
 
+    @pytest.mark.parametrize("initial", ["neel", "singlet"])
+    def test_a_time_point_is_built_after_the_last_one_is_dropped(self, tmp_path, initial):
+        # the initial state and the two arrays of a build: with the last time
+        # point's state still alive while the next is built, the peak read 4 states
+        num_sites = 14
+        config = parse_config_text(
+            f"L = {num_sites}\ninitial = {initial}\nquantities = twist,berry\n"
+            "t_points = 3\nexact_probabilities = true\n"
+        )
+        execute(config, tmp_path / "warm", quiet=True)  # fills the per-length caches
+        tracemalloc.start()
+        try:
+            execute(config, tmp_path / "out", quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (16 << num_sites)
+
 
 class TestCliErrors:
     def test_invalid_config_exit_two(self, tmp_path, capsys):

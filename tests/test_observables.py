@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from conftest import count_dict, qubit_bits, random_state_vector
-from sshquench.circuits import prepare_neel, prepare_singlet_product, quench_circuit
+from sshquench.circuits import (
+    neel_quench_state,
+    prepare_neel,
+    prepare_singlet_product,
+    quench_circuit,
+)
+from sshquench.config import parse_config_text
+from sshquench.experiment import _twist_estimate, _twist_point
 from sshquench.noise import flip_outcomes
 from sshquench.observables import (
     berry_phase,
+    counts_twist,
     distribution_twist,
     exact_twist,
     gauge_reference,
@@ -167,6 +175,55 @@ class TestPhaseTable:
         finally:
             tracemalloc.stop()
         assert peak < 16 << num_sites
+
+    def test_a_second_distribution_twist_allocates_no_index_row(self):
+        # casting the int16 W row to intp inside np.bincount took 8 * 2^L bytes
+        num_sites = 16
+        rng = np.random.default_rng(31)
+        dist = probabilities(QuantumState(num_sites, random_state_vector(num_sites, rng)))
+        distribution_twist(dist, q=1, kind="spin")  # warm the cached tables
+        tracemalloc.start()
+        try:
+            distribution_twist(dist, q=1, kind="spin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+
+class TestCountsTwist:
+    """The array core behind the dict estimators, as the runner calls it."""
+
+    @pytest.mark.parametrize("num_sites", [4, 9, 16])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("kind", ["spin", "particle"])
+    def test_equals_the_dict_estimators_bitwise(self, num_sites, q, kind):
+        rng = np.random.default_rng([31, num_sites, q])
+        estimator = twist_order_parameter if kind == "spin" else particle_twist_amplitude
+        for shots in (1, 37, 4096):
+            counts = rng.multinomial(shots, rng.dirichlet(np.full(1 << num_sites, 0.3)))
+            keys = np.flatnonzero(counts)
+            want = _bits(estimator(count_dict(counts), num_sites, q).z)
+            assert _bits(counts_twist(keys, counts[keys], num_sites, q, kind).z) == want
+            got = counts_twist(keys, counts[keys].astype(float), num_sites, q, kind)
+            assert _bits(got.z) == want
+
+    def test_an_estimate_of_no_counts_is_nan_and_flagged_empty(self):
+        flags = []
+        z, gamma = _twist_estimate(None, 4, 0.0, "post", flags)
+        assert np.isnan(z.real) and np.isnan(z.imag) and np.isnan(gamma)
+        assert flags == ["post_empty"]
+
+    def test_a_twist_point_that_keeps_no_shot_reads_nan_post_columns(self):
+        # two shots at 50% flips on L = 4 (seed 4): neither is at half filling
+        config = parse_config_text(
+            "L = 4\ninitial = neel\ntimes = 0.3\nquantities = twist,berry\nn_shots = 2\n"
+            "readout_flip = 0.5\nseed = 4\n"
+        )
+        twist_row, berry_row, _shots = _twist_point(config, neel_quench_state(0.3, 4), 0, 0.0, 0.0)
+        assert np.isfinite(twist_row[1:3]).all() and np.isnan(twist_row[3:5]).all()
+        assert np.isfinite(berry_row[1]) and np.isnan(berry_row[2])
+        assert "post_empty" in berry_row[4]
 
 
 class TestParticleTwist:
