@@ -102,7 +102,7 @@ def _count_arrays(counts: dict[int, int], num_sites: int) -> tuple[np.ndarray, n
 
 
 def counts_twist(
-    keys: np.ndarray, vals: np.ndarray, num_sites: int, q: int = 1, kind: str = "spin"
+    keys: np.ndarray, vals: np.ndarray, num_sites: int, q: int, kind: str
 ) -> TwistResult:
     """Twist amplitude of counts ``vals`` at distinct, unchecked indices ``keys``."""
     vals = np.asarray(vals, dtype=np.float64)
